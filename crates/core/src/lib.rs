@@ -9,11 +9,18 @@
 //! * [`orchestrator`] — the deterministic discrete-event driver of the
 //!   decentralized experiment: training, gossip, mining races, per-peer
 //!   customized ("consider") aggregation and asynchronous wait policies;
+//! * [`committee`] — the hierarchical layout: which committee each peer
+//!   aggregates in before the cross-committee merge;
+//! * [`policy`] — adaptive controllers that retune the wait policy, strategy
+//!   and staleness decay at round boundaries;
+//! * [`faults`] — the timed fault and churn timeline (partitions, joins,
+//!   leaves, crashes, hash-rate shocks) and its validation;
 //! * [`nonrepudiation`] — evidence bundles (signature + merkle inclusion +
 //!   proof-of-work block) that make model authorship undeniable;
 //! * [`anomaly`] — abnormal-model detectors (norm outliers, fitness gates);
 //! * [`compute`] — the mining⇄training contention model behind the paper's
-//!   "resource exhaustion due to dual tasks" observation.
+//!   "resource exhaustion due to dual tasks" observation;
+//! * [`error`] — the typed configuration errors construction returns.
 //!
 //! The Vanilla (centralized) baseline lives in `blockfed-fl`; the experiment
 //! harness regenerating every table and figure lives in `blockfed-bench`.

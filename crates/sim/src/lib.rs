@@ -12,8 +12,10 @@
 //! * [`Scheduler`] — an event queue fused with a clock that only moves forward,
 //! * [`RngHub`] — named, independently seeded random streams derived from one seed,
 //! * [`dist`] — the handful of distributions the experiments need (exponential
-//!   mining delays, uniform jitter),
-//! * [`Trace`] — a timestamped event log used by the experiment reports.
+//!   mining delays, uniform jitter).
+//!
+//! What happened when is not recorded here: runs emit structured spans and
+//! events through `blockfed-telemetry`.
 //!
 //! # Examples
 //!
@@ -35,10 +37,8 @@ pub mod dist;
 pub mod event;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use dist::{Exponential, UniformJitter};
 pub use event::{EventQueue, Scheduler};
 pub use rng::{splitmix64, RngHub};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Counters, Trace};

@@ -12,6 +12,7 @@ use blockfed::fl::{ClientId, WaitPolicy};
 use blockfed::net::LinkSpec;
 use blockfed::nn::SimpleNnConfig;
 use blockfed::report::{fmt_acc, Table};
+use blockfed::telemetry::MemorySink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,7 +46,8 @@ fn main() {
 
     let driver = Decentralized::new(config, &shards, &tests);
     let mut arch_rng = StdRng::seed_from_u64(3);
-    let run = driver.run(&mut || nn.build(&mut arch_rng));
+    let mut sink = MemorySink::new();
+    let run = driver.run_traced(&mut || nn.build(&mut arch_rng), &mut sink);
 
     for (peer, records) in run.peer_records.iter().enumerate() {
         let mut table = Table::new(
@@ -84,8 +86,8 @@ fn main() {
         "  finished (virtual): {:.1}s",
         run.finished_at.as_secs_f64()
     );
-    println!("\ntrace excerpt:");
-    for entry in run.trace.entries().iter().take(8) {
-        println!("  {} {} {}", entry.time, entry.label, entry.detail);
+    println!("\ntrace excerpt ({} records):", sink.records().len());
+    for line in sink.to_jsonl().lines().take(8) {
+        println!("  {line}");
     }
 }

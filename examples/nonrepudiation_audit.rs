@@ -15,6 +15,7 @@ use blockfed::crypto::KeyPair;
 use blockfed::data::{partition_dataset, Partition, SynthCifar, SynthCifarConfig};
 use blockfed::fl::{Adversary, Attack, ClientId, ModelUpdate, WaitPolicy};
 use blockfed::nn::SimpleNnConfig;
+use blockfed::telemetry::MemorySink;
 use blockfed::vm::{BlockfedRuntime, NativeContract, NATIVE_REGISTRY_CODE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,9 +56,10 @@ fn decentralized_attack_and_audit() {
     let driver = Decentralized::new(config, &shards, &tests);
     let nn = SimpleNnConfig::tiny(tests[0].feature_dim(), tests[0].num_classes());
     let mut arch_rng = StdRng::seed_from_u64(7);
-    let run = driver.run(&mut || nn.build(&mut arch_rng));
+    let mut sink = MemorySink::new();
+    let run = driver.run_traced(&mut || nn.build(&mut arch_rng), &mut sink);
 
-    println!("attacks mounted:   {}", run.trace.count("attack.mounted"));
+    println!("attacks mounted:   {}", sink.count("attack.mounted"));
     for (peer, round, reason) in run.drops() {
         println!("peer {} round {round}: dropped {reason}", ClientId(peer));
     }

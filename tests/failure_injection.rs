@@ -7,6 +7,7 @@ use blockfed::core::{ComputeProfile, Decentralized, DecentralizedConfig, Fault, 
 use blockfed::data::{partition_dataset, Dataset, Partition, SynthCifar, SynthCifarConfig};
 use blockfed::fl::{Adversary, Attack, ClientId, WaitPolicy};
 use blockfed::nn::SimpleNnConfig;
+use blockfed::telemetry::MemorySink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -108,7 +109,11 @@ fn sleeper_replay_does_not_stall_rounds() {
         assert_eq!(records.len(), 3);
     }
     // Replays are finite models: they stay aggregatable, so no drops needed.
-    assert_eq!(out.trace.count("anomaly.malformed"), 0);
+    let drops = out.drops();
+    assert!(
+        drops.iter().all(|(_, _, d)| !d.ends_with(":malformed")),
+        "{drops:?}"
+    );
 }
 
 #[test]
@@ -190,17 +195,22 @@ fn shocked_cadence(rule: RetargetRule, seed: u64) -> (f64, f64) {
         })
         .collect();
     let difficulty = cfg.difficulty as f64;
-    let out = run(cfg, &shards, &tests, seed);
+    let driver = Decentralized::new(cfg, &shards, &tests);
+    let nn = SimpleNnConfig::tiny(tests[0].feature_dim(), tests[0].num_classes());
+    let mut arch_rng = StdRng::seed_from_u64(seed);
+    let mut sink = MemorySink::new();
+    driver.run_traced(&mut || nn.build(&mut arch_rng), &mut sink);
 
     // Everyone trains throughout, so the genesis (and pre-shock) hash rate
     // is three contention-reduced miners.
     let rate = 3.0 * compute.effective_hashrate(true);
     let target = difficulty / rate;
 
-    let seals: Vec<f64> = out
-        .trace
-        .with_label("block.sealed")
-        .map(|e| e.time.as_secs_f64())
+    let seals: Vec<f64> = sink
+        .records()
+        .iter()
+        .filter(|r| r.name == "pow.sealed")
+        .map(|r| r.time.as_secs_f64())
         .collect();
     let post: Vec<f64> = seals
         .windows(2)
