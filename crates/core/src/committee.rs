@@ -41,9 +41,9 @@ impl std::fmt::Display for CommitteeAssignment {
 /// Committee layout for hierarchical aggregation: how many committees, how
 /// peers map onto them, and the seed the `Seeded` assignment shuffles with.
 ///
-/// A spec with `count <= 1` is the flat topology — the orchestrator
-/// normalizes it to "no committees" so a single-committee run reproduces the
-/// flat run byte-for-byte.
+/// A spec with `count <= 1` is the flat topology — leader election, aggregate
+/// publication and the tier-2 merge only engage for `count > 1` — so a
+/// single-committee run reproduces the flat run byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CommitteeSpec {
     /// Number of committees the population is sharded into.

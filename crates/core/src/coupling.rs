@@ -93,6 +93,33 @@ pub fn confirmed_submissions(
     round: u32,
 ) -> Vec<ConfirmedSubmission> {
     let mut out = Vec::new();
+    for_each_registry_call(chain, registry, |block_hash, tx, call| match call {
+        RegistryCall::SubmitModel {
+            round: r,
+            model_hash,
+            payload_bytes,
+            sample_count,
+        } if r == round => out.push(ConfirmedSubmission {
+            sender: tx.from,
+            round,
+            model_hash,
+            payload_bytes,
+            sample_count,
+            tx_hash: tx.hash(),
+            block_hash,
+        }),
+        _ => {}
+    });
+    out
+}
+
+/// Visits every successfully executed call to `registry` on `chain`'s
+/// canonical chain, in chain order, with the hash of its block.
+fn for_each_registry_call(
+    chain: &Blockchain,
+    registry: H160,
+    mut visit: impl FnMut(H256, &Transaction, RegistryCall),
+) {
     for block_hash in chain.canonical_chain() {
         let block = chain.block(&block_hash).expect("canonical block exists");
         let receipts = chain.receipts(&block_hash);
@@ -102,33 +129,12 @@ pub fn confirmed_submissions(
             }
             let ok = receipts
                 .and_then(|rs| rs.get(i))
-                .map(blockfed_chain::Receipt::is_success)
-                .unwrap_or(false);
-            if !ok {
-                continue;
-            }
-            if let Some(RegistryCall::SubmitModel {
-                round: r,
-                model_hash,
-                payload_bytes,
-                sample_count,
-            }) = RegistryCall::decode(&tx.data)
-            {
-                if r == round {
-                    out.push(ConfirmedSubmission {
-                        sender: tx.from,
-                        round: r,
-                        model_hash,
-                        payload_bytes,
-                        sample_count,
-                        tx_hash: tx.hash(),
-                        block_hash,
-                    });
-                }
+                .is_some_and(blockfed_chain::Receipt::is_success);
+            if let Some(call) = ok.then(|| RegistryCall::decode(&tx.data)).flatten() {
+                visit(block_hash, tx, call);
             }
         }
     }
-    out
 }
 
 /// A `record_aggregate` call confirmed on a peer's canonical chain, decoded
@@ -160,37 +166,19 @@ pub fn confirmed_aggregate_records(
     round: u32,
 ) -> Vec<AggregateRecord> {
     let mut out = Vec::new();
-    for block_hash in chain.canonical_chain() {
-        let block = chain.block(&block_hash).expect("canonical block exists");
-        let receipts = chain.receipts(&block_hash);
-        for (i, tx) in block.transactions.iter().enumerate() {
-            if tx.to != Some(registry) {
-                continue;
-            }
-            let ok = receipts
-                .and_then(|rs| rs.get(i))
-                .map(blockfed_chain::Receipt::is_success)
-                .unwrap_or(false);
-            if !ok {
-                continue;
-            }
-            if let Some(RegistryCall::RecordAggregate {
-                round: r,
-                combo_mask,
-                agg_hash,
-            }) = RegistryCall::decode(&tx.data)
-            {
-                if r == round {
-                    out.push(AggregateRecord {
-                        sender: tx.from,
-                        round: r,
-                        combo_mask,
-                        agg_hash,
-                    });
-                }
-            }
-        }
-    }
+    for_each_registry_call(chain, registry, |_, tx, call| match call {
+        RegistryCall::RecordAggregate {
+            round: r,
+            combo_mask,
+            agg_hash,
+        } if r == round => out.push(AggregateRecord {
+            sender: tx.from,
+            round,
+            combo_mask,
+            agg_hash,
+        }),
+        _ => {}
+    });
     out
 }
 
@@ -225,60 +213,45 @@ pub fn confirmed_aggregates(chain: &Blockchain, registry: H160) -> Vec<Confirmed
     let mut out = Vec::new();
     let mut state = chain.state().clone();
     let head_number = chain.head_block().number();
-    for block_hash in chain.canonical_chain() {
-        let block = chain.block(&block_hash).expect("canonical block exists");
-        let receipts = chain.receipts(&block_hash);
-        for (i, tx) in block.transactions.iter().enumerate() {
-            if tx.to != Some(registry) {
-                continue;
+    for_each_registry_call(chain, registry, |block_hash, tx, call| {
+        let RegistryCall::RecordAggregate {
+            round,
+            combo_mask: submitted_mask,
+            agg_hash: submitted_hash,
+        } = call
+        else {
+            return;
+        };
+        let read = RegistryCall::GetAggregate {
+            round,
+            aggregator: tx.from,
+        };
+        let ctx = CallContext {
+            caller: tx.from,
+            contract: registry,
+            calldata: read.encode(),
+            gas_budget: 1_000_000,
+            block_number: head_number,
+            timestamp_ns: 0,
+        };
+        let got = blockfed_vm::registry::execute_registry(&ctx, &mut state);
+        // A mismatch means a later re-record for this round superseded it.
+        match parse_aggregate(&got.output).filter(|_| got.success) {
+            Some((agg_hash, combo_mask))
+                if agg_hash == submitted_hash && combo_mask == submitted_mask =>
+            {
+                out.push(ConfirmedAggregate {
+                    aggregator: tx.from,
+                    round,
+                    combo_mask,
+                    agg_hash,
+                    tx_hash: tx.hash(),
+                    block_hash,
+                });
             }
-            let ok = receipts
-                .and_then(|rs| rs.get(i))
-                .map(blockfed_chain::Receipt::is_success)
-                .unwrap_or(false);
-            if !ok {
-                continue;
-            }
-            let Some(RegistryCall::RecordAggregate {
-                round,
-                combo_mask: submitted_mask,
-                agg_hash: submitted_hash,
-            }) = RegistryCall::decode(&tx.data)
-            else {
-                continue;
-            };
-            let read = RegistryCall::GetAggregate {
-                round,
-                aggregator: tx.from,
-            };
-            let ctx = CallContext {
-                caller: tx.from,
-                contract: registry,
-                calldata: read.encode(),
-                gas_budget: 1_000_000,
-                block_number: head_number,
-                timestamp_ns: 0,
-            };
-            let got = blockfed_vm::registry::execute_registry(&ctx, &mut state);
-            if !got.success {
-                continue;
-            }
-            let Some((agg_hash, combo_mask)) = parse_aggregate(&got.output) else {
-                continue;
-            };
-            if agg_hash != submitted_hash || combo_mask != submitted_mask {
-                continue; // superseded by a later re-record for this round
-            }
-            out.push(ConfirmedAggregate {
-                aggregator: tx.from,
-                round,
-                combo_mask,
-                agg_hash,
-                tx_hash: tx.hash(),
-                block_hash,
-            });
+            _ => {}
         }
-    }
+    });
     out
 }
 

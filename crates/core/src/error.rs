@@ -4,8 +4,9 @@
 //! [`crate::orchestrator::Decentralized::new`]; callers that assemble runs
 //! from external input (the scenario engine, benches, services) need a value
 //! they can match on and surface instead. [`ConfigError`]'s `Display` forms
-//! are stable prefixes — `ScenarioSpec::validate` mirrors them so a spec and
-//! the orchestrator reject the same configuration with the same words.
+//! are stable prefixes, and `ScenarioSpec::validate` calls
+//! [`crate::DecentralizedConfig::validate`] on the lowered config, so a spec
+//! and the orchestrator reject the same configuration with the same words.
 
 use crate::orchestrator::MAX_PEERS;
 
@@ -43,6 +44,8 @@ pub enum ConfigError {
     },
     /// Zero communication rounds requested.
     ZeroRounds,
+    /// A mini-batch size of zero (training could never form a batch).
+    ZeroBatchSize,
     /// The link profile is invalid (e.g. a loss rate outside `[0, 1]`).
     /// Carries the link error's rendered form so the variant stays `Eq`.
     InvalidLink(String),
@@ -74,6 +77,7 @@ impl std::fmt::Display for ConfigError {
                 "per-peer compute count mismatch ({profiles} profiles, {peers} peers)"
             ),
             ConfigError::ZeroRounds => write!(f, "need at least one round"),
+            ConfigError::ZeroBatchSize => write!(f, "batch size must be positive"),
             ConfigError::InvalidLink(e) => write!(f, "invalid link profile: {e}"),
             ConfigError::InvalidController(e) => write!(f, "invalid policy controller: {e}"),
             ConfigError::InvalidCommittees(e) => write!(f, "invalid committee spec: {e}"),
@@ -104,6 +108,9 @@ mod tests {
         assert!(ConfigError::ZeroRounds
             .to_string()
             .contains("at least one round"));
+        assert!(ConfigError::ZeroBatchSize
+            .to_string()
+            .contains("batch size must be positive"));
         assert!(ConfigError::ShardTestMismatch {
             shards: 3,
             tests: 2

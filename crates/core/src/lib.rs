@@ -6,9 +6,11 @@
 //!
 //! * [`coupling`] — model updates become signed registry transactions on the
 //!   `blockfed-chain` proof-of-work chain (via the `blockfed-vm` FL registry);
-//! * [`orchestrator`] — the deterministic discrete-event driver of the
-//!   decentralized experiment: training, gossip, mining races, per-peer
+//! * [`orchestrator`] — the decentralized experiment as a deterministic
+//!   discrete-event simulation: training, gossip, mining races, per-peer
 //!   customized ("consider") aggregation and asynchronous wait policies;
+//!   privately split into `node` (a peer's chain view), `round` (the round
+//!   algorithm, network-free) and `driver` (the event loop);
 //! * [`committee`] — the hierarchical layout: which committee each peer
 //!   aggregates in before the cross-committee merge;
 //! * [`policy`] — adaptive controllers that retune the wait policy, strategy
@@ -27,6 +29,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No function over 120 counted lines (threshold in the root clippy.toml).
+#![warn(clippy::too_many_lines)]
 
 pub mod anomaly;
 pub mod committee;

@@ -358,69 +358,6 @@ impl ScenarioReport {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-
-    /// One perf-trajectory line per cell, in the `BENCH_history.jsonl`
-    /// shape: cell name, traffic meters, wall clock, and the recording
-    /// revision. `BENCH_scenarios.json` is overwritten per run; the history
-    /// file only ever grows, so deltas stay visible across PRs.
-    pub fn history_lines(&self, git_rev: &str) -> String {
-        let mut out = String::new();
-        for c in &self.cells {
-            // Hierarchical cells carry their committee meters; flat cells
-            // keep the legacy line shape so committed history stays diffable.
-            let committee = if c.committee_rounds() > 0 {
-                format!(
-                    "\"committee_rounds\": {}, \"merge_wait_max_secs\": {}, \
-                     \"tier2_gossip_bytes\": {}, \"tier2_fetch_bytes\": {}, ",
-                    c.committee_rounds(),
-                    json_f64(c.merge_wait_max_secs()),
-                    c.tier2_gossip_bytes(),
-                    c.tier2_fetch_bytes(),
-                )
-            } else {
-                String::new()
-            };
-            out.push_str(&format!(
-                "{{\"cell\": {}, \"peers\": {}, \"gossip_bytes\": {}, \"fetch_bytes\": {}, \
-                 \"dropped_msgs\": {}, \"fetch_retries\": {}, \
-                 \"wait_max_secs\": {}, \"staleness_mean_secs\": {}, \
-                 \"policy_switches\": {}, {committee}\"final_accuracy\": {}, \
-                 \"wall_clock_secs\": {}, \"git_rev\": {}}}\n",
-                json_str(&c.name),
-                c.peers,
-                c.gossip_bytes,
-                c.fetch_bytes,
-                c.dropped_msgs(),
-                c.fetch_retries(),
-                json_f64(c.wait_max_secs()),
-                json_f64(c.staleness_mean_secs()),
-                c.policy_switches(),
-                json_f64(c.mean_final_accuracy),
-                json_f64(c.wall_clock_secs),
-                json_str(git_rev),
-            ));
-        }
-        out
-    }
-
-    /// Appends [`ScenarioReport::history_lines`] to `dir/BENCH_history.jsonl`
-    /// (created on first use). Returns the path written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn append_history(&self, dir: impl AsRef<Path>, git_rev: &str) -> io::Result<PathBuf> {
-        use std::io::Write;
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join("BENCH_history.jsonl");
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        file.write_all(self.history_lines(git_rev).as_bytes())?;
-        Ok(path)
-    }
 }
 
 fn json_str(s: &str) -> String {
@@ -617,50 +554,6 @@ mod tests {
             cells: vec![cell("one")],
         };
         assert!(report.to_json().contains("\"fetch_bytes\": 250000"));
-    }
-
-    #[test]
-    fn history_appends_one_line_per_cell_per_run() {
-        let dir = std::env::temp_dir().join(format!("blockfed-hist-{}", std::process::id()));
-        let report = ScenarioReport {
-            name: "h".into(),
-            cells: vec![cell("a"), cell("b")],
-        };
-        let path = report.append_history(&dir, "rev1").unwrap();
-        report.append_history(&dir, "rev2").unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = content.lines().collect();
-        assert_eq!(lines.len(), 4, "append must accumulate, not overwrite");
-        assert!(lines[0].contains("\"cell\": \"a\""));
-        assert!(lines[0].contains("\"git_rev\": \"rev1\""));
-        assert!(lines[3].contains("\"git_rev\": \"rev2\""));
-        assert!(lines[0].contains("\"gossip_bytes\": 1000000"));
-        assert!(lines[0].contains("\"fetch_bytes\": 250000"));
-        assert!(lines[0].contains("\"dropped_msgs\": 7"));
-        assert!(lines[0].contains("\"fetch_retries\": 3"));
-        assert!(lines[0].contains("\"wait_max_secs\": 1.5"));
-        assert!(lines[0].contains("\"staleness_mean_secs\": 4"));
-        // Flat cells keep the legacy line shape — no committee columns.
-        assert!(!lines[0].contains("committee_rounds"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn history_lines_carry_committee_meters_on_hierarchical_cells() {
-        let mut hier = cell("hier");
-        hier.metrics.add("committee_rounds", 6);
-        hier.metrics.add("tier2_gossip_bytes", 4096);
-        hier.metrics.add("tier2_fetch_bytes", 8192);
-        hier.metrics.observe("merge_wait_secs", 2.5);
-        let report = ScenarioReport {
-            name: "h".into(),
-            cells: vec![hier],
-        };
-        let line = report.history_lines("rev");
-        assert!(line.contains("\"committee_rounds\": 6"), "{line}");
-        assert!(line.contains("\"merge_wait_max_secs\": 2.5"), "{line}");
-        assert!(line.contains("\"tier2_gossip_bytes\": 4096"), "{line}");
-        assert!(line.contains("\"tier2_fetch_bytes\": 8192"), "{line}");
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! with [`ScenarioSpec::run_with`].
 
 use blockfed_core::{
-    ChainStore, CommitteeSpec, ComputeProfile, ConfigError, ControllerSpec, Decentralized,
-    DecentralizedConfig, DecentralizedRun, Fault, RetargetRule, TimedFault, MAX_PEERS,
+    ChainStore, CommitteeSpec, ComputeProfile, ControllerSpec, Decentralized, DecentralizedConfig,
+    DecentralizedRun, Fault, RetargetRule, TimedFault,
 };
 use blockfed_data::{Dataset, Partition, SynthCifarConfig};
 use blockfed_fl::{Adversary, StalenessDecay, Strategy, WaitPolicy};
@@ -645,16 +645,9 @@ impl ScenarioSpec {
     /// Describes the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.peers();
+        // Checked here because lowering indexes the first compute profile.
         if n < 2 {
             return Err("a scenario needs at least two peers".into());
-        }
-        if n > MAX_PEERS {
-            // Mirror the orchestrator's typed rejection word for word, so a
-            // spec and Decentralized::try_new refuse identically.
-            return Err(ConfigError::TooManyPeers { got: n }.to_string());
-        }
-        if self.rounds == 0 {
-            return Err("a scenario needs at least one round".into());
         }
         if self.best_k == 0 {
             return Err("best_k must be positive".into());
@@ -664,9 +657,6 @@ impl ScenarioSpec {
                 return Err("strategy_switch round is 1-based and must be positive".into());
             }
         }
-        for c in &self.computes {
-            c.validate()?;
-        }
         for a in &self.adversaries {
             if a.client.0 >= n {
                 return Err(format!(
@@ -675,36 +665,12 @@ impl ScenarioSpec {
                 ));
             }
         }
-        blockfed_core::validate_timeline(&self.timeline, n)?;
-        if let Some(ctl) = &self.controller {
-            if let Err(e) = ctl.validate() {
-                // Mirror the orchestrator's typed rejection word for word, so
-                // a spec and Decentralized::try_new refuse identically.
-                return Err(ConfigError::InvalidController(e).to_string());
-            }
-        }
-        if let Err(e) = self.link.validate() {
-            // Mirror the orchestrator's typed rejection word for word, so a
-            // spec and Decentralized::try_new refuse identically.
-            return Err(ConfigError::InvalidLink(e.to_string()).to_string());
-        }
-        if let Some(cs) = &self.committees {
-            // Mirror the orchestrator's typed rejection word for word, so a
-            // spec and Decentralized::try_new refuse identically.
-            if cs.count == 0 {
-                return Err(
-                    ConfigError::InvalidCommittees("need at least one committee".into())
-                        .to_string(),
-                );
-            }
-            if cs.count > n {
-                return Err(ConfigError::InvalidCommittees(format!(
-                    "more committees than peers ({} committees, {n} peers)",
-                    cs.count
-                ))
-                .to_string());
-            }
-        }
+        // Peer ceiling, rounds, batch size, compute profiles, fault timeline,
+        // controller, link and committees are the orchestrator's own checks:
+        // a spec and `Decentralized::try_new` refuse with the same words.
+        self.decentralized_config()
+            .validate(n)
+            .map_err(|e| e.to_string())?;
         let pool = self.data.synth.test_per_class * self.data.synth.num_classes;
         if pool / n == 0 {
             return Err(format!(
@@ -830,6 +796,7 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blockfed_core::MAX_PEERS;
 
     #[test]
     fn defaults_validate_and_lower() {
@@ -916,6 +883,17 @@ mod tests {
         });
         let err = starved_train.validate().unwrap_err();
         assert!(err.contains("train pool of 4 examples"), "{err}");
+    }
+
+    #[test]
+    fn zero_batch_size_is_refused_with_the_orchestrators_words() {
+        // Used to pass validation and panic mid-run inside the data loader.
+        let err = ScenarioSpec::new("probe", 3)
+            .rounds(1)
+            .batch_size(0)
+            .validate()
+            .unwrap_err();
+        assert_eq!(err, blockfed_core::ConfigError::ZeroBatchSize.to_string());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! cargo run --release --example scenarios               # 10-peer churn demo
 //! cargo run --release --example scenarios -- --smoke    # CI: tiny 5-peer churn+partition matrix
 //! cargo run --release --example scenarios -- --bestk    # best-k vs consider wall-clock sweep (incl. n=48..256)
-//! cargo run --release --example scenarios -- --bench    # --bestk + append the perf trajectory (BENCH_history.jsonl)
 //! cargo run --release --example scenarios -- --bestk48  # CI: one 48-peer best-k cell past the u32 mask
 //! cargo run --release --example scenarios -- --gossip128 # CI: announce/fetch byte guards + 128-peer cell
 //! cargo run --release --example scenarios -- --committees # CI: hierarchical 256/512/1024-peer committee cells + flat-byte reproduction guard
@@ -13,17 +12,14 @@
 //! cargo run --release --example scenarios -- --adaptive # CI: churn+shock cell, policy controller vs static wait policies (time-to-accuracy)
 //! cargo run --release --example scenarios -- --trace    # CI: traced runs bit-identical to untraced; JSONL + Chrome trace export
 //! cargo run --release --example scenarios -- --memcheck # CI: 48-peer cell twice in-process; chain-store entries stay bounded
-//! cargo run --release --example scenarios -- --speedup  # per-phase wall clock of matmul/FedAvg/par_train_epochs at 1/2/8 threads
 //! ```
 //!
 //! Every scenario mode prints the matrix table and writes the
-//! machine-readable `BENCH_scenarios.json` (per-cell wall-clock + accuracy)
-//! to the working directory; `--bench` additionally appends one line per cell
-//! to `BENCH_history.jsonl` (cell, gossip/fetch bytes, wall clock, git rev)
-//! so deltas stay visible across PRs. `--trace` writes `TRACE_bestk48.jsonl`
-//! (schema-validated) and `TRACE_bestk48.json` (open in Perfetto /
-//! `chrome://tracing`); `--speedup` appends one kernel-timing line per thread
-//! count to `BENCH_history.jsonl`.
+//! machine-readable `BENCH_scenarios.json` (per-cell bytes, accuracy and a
+//! single-run wall clock) to the working directory. `--trace` writes
+//! `TRACE_bestk48.jsonl` (schema-validated) and `TRACE_bestk48.json` (open in
+//! Perfetto / `chrome://tracing`). Wall-clock claims belong to the repo
+//! benchmark (`examples/benchmark`), not to these single runs.
 
 use blockfed::core::{CommitteeSpec, ControllerSpec, RuleConfig};
 use blockfed::data::Partition;
@@ -33,7 +29,7 @@ use blockfed::scenario::{
     CellReport, DataSpec, ScenarioMatrix, ScenarioReport, ScenarioRunner, ScenarioSpec,
 };
 use blockfed::sim::{SimDuration, SimTime, UniformJitter};
-use blockfed::telemetry::{MemorySink, PhaseProfiler};
+use blockfed::telemetry::MemorySink;
 
 /// Committed regression ceiling for the 48-peer best-k cell's *flood* bytes
 /// under announce/fetch. The legacy full-payload flood recorded ~51 MB for
@@ -42,7 +38,7 @@ use blockfed::telemetry::{MemorySink, PhaseProfiler};
 const GOSSIP48_CEILING_BYTES: u64 = 12_000_000;
 
 /// The committed byte accounting of the lossless 48-peer announce/fetch cell
-/// (`BENCH_history.jsonl`). `--chaos` asserts a `loss_rate: 0.0` run still
+/// (`BENCH_scenarios.json`). `--chaos` asserts a `loss_rate: 0.0` run still
 /// reproduces these exactly: the loss machinery must be invisible when the
 /// links are clean.
 const BESTK48_GOSSIP_BYTES: u64 = 6_593_536;
@@ -131,7 +127,7 @@ fn run_wide(runner: &ScenarioRunner, n: usize, k: usize) -> CellReport {
 
 /// The 48-peer certification pair — the best-k cell under announce/fetch and
 /// its Full-mode twin — asserted to be the identical simulation (the modes
-/// may only move bytes between the meters). Shared by the `--bestk`/`--bench`
+/// may only move bytes between the meters). Shared by the `--bestk`
 /// feed and the `--gossip128` CI guard so they can never drift apart.
 fn certified_48_pair(runner: &ScenarioRunner) -> (CellReport, CellReport) {
     let af = runner.run(&bestk48_spec());
@@ -151,10 +147,9 @@ fn certified_48_pair(runner: &ScenarioRunner) -> (CellReport, CellReport) {
     (af, full)
 }
 
-/// Builds (prints + writes) the full best-k/consider sweep report, now
-/// including the gossip-mode pair at 48 peers and the 128/256-peer
-/// announce/fetch cells.
-fn bestk_report() -> ScenarioReport {
+/// Prints and writes the full best-k/consider sweep report, including the
+/// gossip-mode pair at 48 peers and the 128/256-peer announce/fetch cells.
+fn bestk() {
     println!("best-k vs consider — wall-clock of the aggregation search\n");
     let runner = ScenarioRunner::new();
     // Both sweeps share the same 48-peer-capable datasets so their
@@ -229,40 +224,6 @@ fn bestk_report() -> ScenarioReport {
     println!("{}", merged.table());
     let path = merged.write_json(".").expect("write BENCH_scenarios.json");
     println!("wrote {}", path.display());
-    merged
-}
-
-fn bestk() {
-    let _ = bestk_report();
-}
-
-/// The short git revision, for perf-trajectory lines; "unknown" outside a
-/// git checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// `--bestk` plus the perf trajectory: appends one `BENCH_history.jsonl`
-/// line per cell so `BENCH_scenarios.json` deltas are tracked across PRs.
-fn bench() {
-    let report = bestk_report();
-    let rev = git_rev();
-    let path = report
-        .append_history(".", &rev)
-        .expect("append BENCH_history.jsonl");
-    println!(
-        "appended {} cells at rev {} to {}",
-        report.cells.len(),
-        rev,
-        path.display()
-    );
 }
 
 fn bestk48() {
@@ -448,15 +409,6 @@ fn committees() {
     println!("{}", report.table());
     let path = report.write_json(".").expect("write BENCH_scenarios.json");
     println!("wrote {}", path.display());
-    let rev = git_rev();
-    let hist = report
-        .append_history(".", &rev)
-        .expect("append BENCH_history.jsonl");
-    println!(
-        "appended {} cells at rev {rev} to {}",
-        report.cells.len(),
-        hist.display()
-    );
     println!("hierarchical committee certification OK (widest 1024-peer mask bit: {widest})");
 }
 
@@ -710,15 +662,6 @@ fn adaptive() {
     }
     let path = report.write_json(".").expect("write BENCH_scenarios.json");
     println!("wrote {}", path.display());
-    let rev = git_rev();
-    let hist = report
-        .append_history(".", &rev)
-        .expect("append BENCH_history.jsonl");
-    println!(
-        "appended {} cells at rev {rev} to {}",
-        report.cells.len(),
-        hist.display()
-    );
     println!("adaptive policy certification OK (controller TTA {ctl_tta:.1}s)");
 }
 
@@ -896,88 +839,6 @@ fn memcheck() {
     );
 }
 
-/// Per-phase wall clock of the three parallel kernels the ROADMAP asks to
-/// measure — matmul, FedAvg, and `par_train_epochs` — at 1, 2, and 8 compute
-/// threads, timed with [`PhaseProfiler`] (host time, strictly outside the
-/// deterministic record) and appended to `BENCH_history.jsonl`. On a
-/// single-core host the numbers record thread overhead rather than speedup;
-/// the line carries the detected core count so readers can tell.
-fn speedup() {
-    use blockfed::data::{SynthCifar, SynthCifarConfig};
-    use blockfed::fl::{fed_avg, ClientId, ModelUpdate};
-    use blockfed::nn::{Sgd, SimpleNnConfig};
-    use blockfed::tensor::{matmul, Tensor};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    println!("multicore kernel timing — matmul / FedAvg / par_train_epochs at 1/2/8 threads\n");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-    // Fixed workloads, reused at every thread count so rows compare directly.
-    let mut rng = StdRng::seed_from_u64(7);
-    let a = Tensor::from_vec(
-        (0..256 * 512).map(|_| rng.gen::<f32>()).collect(),
-        &[256, 512],
-    );
-    let b = Tensor::from_vec(
-        (0..512 * 256).map(|_| rng.gen::<f32>()).collect(),
-        &[512, 256],
-    );
-    let updates: Vec<ModelUpdate> = (0..32)
-        .map(|i| {
-            let params: Vec<f32> = (0..200_000).map(|_| rng.gen::<f32>()).collect();
-            ModelUpdate::new(ClientId(i), 1, params, 100 + i)
-        })
-        .collect();
-    let gen = SynthCifar::new(SynthCifarConfig::tiny());
-    let (train, _test) = gen.generate(7);
-    let nn_cfg = SimpleNnConfig::tiny(train.feature_dim(), train.num_classes());
-
-    let mut lines = String::new();
-    let rev = git_rev();
-    for threads in [1usize, 2, 8] {
-        blockfed::compute::set_threads(threads);
-        let mut prof = PhaseProfiler::new();
-        for _ in 0..20 {
-            prof.time("matmul", || matmul(&a, &b));
-        }
-        let refs: Vec<&ModelUpdate> = updates.iter().collect();
-        for _ in 0..10 {
-            prof.time("fedavg", || fed_avg(&refs).expect("aggregate"));
-        }
-        let mut arch_rng = StdRng::seed_from_u64(7);
-        let mut model = nn_cfg.build(&mut arch_rng);
-        let mut opt = Sgd::new(0.1, 0.9);
-        let batcher = blockfed::data::Batcher::new(16);
-        let mut train_rng = StdRng::seed_from_u64(8);
-        prof.time("par_train_epochs", || {
-            model.par_train_epochs(&train, 4, &batcher, &mut opt, &mut train_rng)
-        });
-        blockfed::compute::set_threads(0);
-
-        println!("threads = {threads}");
-        println!("{}", prof.table());
-        lines.push_str(&format!(
-            "{{\"cell\": \"kernel-speedup\", \"threads\": {threads}, \"host_cores\": {cores}, \
-             \"matmul_secs\": {:.6}, \"fedavg_secs\": {:.6}, \"par_train_epochs_secs\": {:.6}, \
-             \"git_rev\": \"{rev}\"}}\n",
-            prof.secs("matmul"),
-            prof.secs("fedavg"),
-            prof.secs("par_train_epochs"),
-        ));
-    }
-
-    use std::io::Write as _;
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open("BENCH_history.jsonl")
-        .expect("open BENCH_history.jsonl");
-    file.write_all(lines.as_bytes())
-        .expect("append BENCH_history.jsonl");
-    println!("appended 3 kernel-speedup lines (host cores: {cores}) to BENCH_history.jsonl");
-}
-
 fn demo() {
     println!("10-peer heterogeneous churn scenario — deterministic replay\n");
     let spec = churn_spec(10).named("demo-10-peer-churn").seed(33);
@@ -1000,7 +861,6 @@ fn main() {
     match mode.as_str() {
         "--smoke" => smoke(),
         "--bestk" => bestk(),
-        "--bench" => bench(),
         "--bestk48" => bestk48(),
         "--gossip128" => gossip128(),
         "--committees" => committees(),
@@ -1009,13 +869,11 @@ fn main() {
         "--adaptive" => adaptive(),
         "--trace" => trace(),
         "--memcheck" => memcheck(),
-        "--speedup" => speedup(),
         "" | "--demo" => demo(),
         other => {
             eprintln!(
-                "unknown mode {other}; use --smoke, --bestk, --bench, --bestk48, --gossip128, \
-                 --committees, --paper, --chaos, --adaptive, --trace, --memcheck, --speedup, \
-                 or --demo"
+                "unknown mode {other}; use --smoke, --bestk, --bestk48, --gossip128, \
+                 --committees, --paper, --chaos, --adaptive, --trace, --memcheck, or --demo"
             );
             std::process::exit(2);
         }
