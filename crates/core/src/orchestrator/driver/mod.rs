@@ -138,6 +138,9 @@ pub(super) struct Run<'a> {
     // Shared logs so events carry small indices instead of payloads.
     tx_log: Vec<Transaction>,
     update_log: Vec<ModelUpdate>,
+    /// Aligned with `update_log`: each update's fingerprint, hashed once at
+    /// publication.
+    update_fp: Vec<H256>,
     /// Aligned with `tx_log`: the update a `submit_model` transaction carries.
     tx_update: Vec<Option<usize>>,
     block_log: Vec<Arc<Block>>,
@@ -261,6 +264,7 @@ impl<'a> Run<'a> {
             attack_rng: hub.stream("attack"),
             tx_log: Vec::new(),
             update_log: Vec::new(),
+            update_fp: Vec::new(),
             tx_update: Vec::new(),
             block_log: Vec::new(),
             block_miner: Vec::new(),
@@ -508,6 +512,7 @@ impl<'a> Run<'a> {
         self.tx_log.push(tx);
         self.tx_update.push(Some(self.update_log.len()));
         self.update_log.push(update.clone());
+        self.update_fp.push(fingerprint);
         self.published.insert(fingerprint, (tx_idx, now));
         p.node.model_store.insert(fingerprint, update);
         p.training = false;
@@ -536,8 +541,7 @@ impl<'a> Run<'a> {
         if let Some(u) = self.tx_update[idx]
             .filter(|&u| self.engine.layout.same(self.update_log[u].client.0, to))
         {
-            let update = self.update_log[u].clone();
-            let fp = model_fingerprint(&update);
+            let (update, fp) = (self.update_log[u].clone(), self.update_fp[u]);
             self.fetch_landed(to, fp, now);
             if self.peers[to].node.model_store.insert(fp, update).is_none() {
                 self.obs.last_progress = now;
@@ -669,6 +673,7 @@ impl<'a> Run<'a> {
         let Aggregated {
             outcome,
             usable,
+            fingerprints,
             members,
             weight,
         } = done;
@@ -696,8 +701,8 @@ impl<'a> Run<'a> {
         // Age-of-block freshness of the consumed updates.
         let mut age_total = SimDuration::ZERO;
         let mut age_max = SimDuration::ZERO;
-        for u in &usable {
-            if let Some(&(_, published)) = self.published.get(&model_fingerprint(u)) {
+        for fp in &fingerprints {
+            if let Some(&(_, published)) = self.published.get(fp) {
                 let age = now.saturating_since(published);
                 self.obs
                     .metrics

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use super::node::Node;
 use super::DecentralizedConfig;
 use crate::committee::CommitteeSpec;
-use crate::coupling::{model_fingerprint, AggregateRecord, ConfirmedSubmission};
+use crate::coupling::{AggregateRecord, ConfirmedSubmission};
 use crate::policy::{
     ControllerSpec, PolicyController, PolicyDecision, PolicyEvent, RoundObservation,
 };
@@ -196,11 +196,17 @@ const UNFIT: Gate = ("unfit", "anomaly.unfit");
 /// A client excluded from an aggregation, and the gate that excluded it.
 pub(super) type Dropped = (ClientId, Gate);
 
+/// A held candidate: its on-chain fingerprint and the update itself.
+type Candidate = (H256, ModelUpdate);
+
 /// A completed tier-1 aggregation.
 pub(super) struct Aggregated {
     pub outcome: AggregationOutcome,
     /// The updates the search ran over (after screening and re-weighting).
     pub usable: Vec<ModelUpdate>,
+    /// Aligned with `usable`: each update's fingerprint, as confirmed on
+    /// chain (so nobody re-hashes parameters to look an update up).
+    pub fingerprints: Vec<H256>,
     /// Indices of the chosen combination's members.
     pub members: Vec<usize>,
     /// FedAvg weight the aggregate carries into the tier-2 merge: the sample
@@ -322,18 +328,19 @@ impl<'a> RoundEngine<'a> {
         if !policy.wait.ready(held.len(), bar) || held.is_empty() {
             return (Vec::new(), None);
         }
-        let arrived: Vec<ModelUpdate> = held
+        let arrived: Vec<Candidate> = held
             .iter()
-            .map(|s| node.model_store[&s.model_hash].clone())
+            .map(|s| (s.model_hash, node.model_store[&s.model_hash].clone()))
             .collect();
         let mut dropped = Vec::new();
         let quorum_full = arrived.len() == bar;
         let Some(usable) = self.screen(arrived, quorum_full, test, &mut dropped) else {
             return (dropped, None);
         };
+        let (fingerprints, usable): (Vec<H256>, Vec<ModelUpdate>) = usable.into_iter().unzip();
         let usable = match policy.decay {
             None => usable,
-            Some(decay) => reweigh_by_staleness(usable, decay, node, &held),
+            Some(decay) => reweigh_by_staleness(usable, &fingerprints, decay, node, &held),
         };
         let refs: Vec<&ModelUpdate> = usable.iter().collect();
         let mut rng = self
@@ -355,6 +362,7 @@ impl<'a> RoundEngine<'a> {
         let done = Aggregated {
             outcome,
             usable,
+            fingerprints,
             members,
             weight,
         };
@@ -369,11 +377,11 @@ impl<'a> RoundEngine<'a> {
     /// to the single best model.
     fn screen(
         &mut self,
-        arrived: Vec<ModelUpdate>,
+        arrived: Vec<Candidate>,
         quorum_full: bool,
         test: &Dataset,
         dropped: &mut Vec<Dropped>,
-    ) -> Option<Vec<ModelUpdate>> {
+    ) -> Option<Vec<Candidate>> {
         // Malformed (non-finite) models can never enter an average; they are
         // dropped unconditionally and logged for the audit trail.
         let mut kept = drop_flagged(arrived, |_, u| !u.is_finite(), MALFORMED, dropped);
@@ -382,7 +390,7 @@ impl<'a> RoundEngine<'a> {
         }
         // Statistical norm gate: drop cohort-level norm outliers.
         if let Some(z) = self.cfg.norm_z_threshold {
-            let refs: Vec<&ModelUpdate> = kept.iter().collect();
+            let refs: Vec<&ModelUpdate> = kept.iter().map(|(_, u)| u).collect();
             let flagged = flagged_indices(crate::anomaly::detect_norm_outliers(&refs, z));
             kept = drop_flagged(kept, |i, _| flagged.contains(&i), NORM, dropped);
             if kept.is_empty() {
@@ -392,7 +400,7 @@ impl<'a> RoundEngine<'a> {
         // Degeneracy gate: drop constant-prediction (free-rider) models. If
         // it would drop everything, skip it for liveness.
         if let Some(min) = self.cfg.degeneracy_min_classes {
-            let refs: Vec<&ModelUpdate> = kept.iter().collect();
+            let refs: Vec<&ModelUpdate> = kept.iter().map(|(_, u)| u).collect();
             let scratch = &mut self.pool[0];
             let flagged = flagged_indices(crate::anomaly::detect_degenerate(&refs, min, |u| {
                 scratch.set_params_flat(&u.params);
@@ -410,7 +418,7 @@ impl<'a> RoundEngine<'a> {
         };
         // Standalone fitness scores are independent per model: fan them
         // across the scratch pool.
-        let accs = blockfed_compute::par_map_with(&mut self.pool[..], &kept, |model, u| {
+        let accs = blockfed_compute::par_map_with(&mut self.pool[..], &kept, |model, (_, u)| {
             model.set_params_flat(&u.params);
             model.evaluate(test).accuracy
         });
@@ -498,20 +506,20 @@ fn flagged_indices(reports: Vec<crate::anomaly::AnomalyReport>) -> HashSet<usize
     reports.into_iter().map(|r| r.index).collect()
 }
 
-/// Splits `updates` by `flagged(index, update)`: flagged ones are logged in
-/// `dropped` under `gate`, the rest are returned in order.
+/// Splits `candidates` by `flagged(index, update)`: flagged ones are logged
+/// in `dropped` under `gate`, the rest are returned in order.
 fn drop_flagged(
-    updates: Vec<ModelUpdate>,
+    candidates: Vec<Candidate>,
     flagged: impl Fn(usize, &ModelUpdate) -> bool,
     gate: Gate,
     dropped: &mut Vec<Dropped>,
-) -> Vec<ModelUpdate> {
-    let mut kept = Vec::with_capacity(updates.len());
-    for (i, u) in updates.into_iter().enumerate() {
-        if flagged(i, &u) {
-            dropped.push((u.client, gate));
+) -> Vec<Candidate> {
+    let mut kept = Vec::with_capacity(candidates.len());
+    for (i, c) in candidates.into_iter().enumerate() {
+        if flagged(i, &c.1) {
+            dropped.push((c.1.client, gate));
         } else {
-            kept.push(u);
+            kept.push(c);
         }
     }
     kept
@@ -520,9 +528,11 @@ fn drop_flagged(
 /// Staleness-aware re-weighting (the age-of-block view): scales each
 /// update's FedAvg weight by `decay.factor(s)` where `s` is how many blocks
 /// bury its submission on `node`'s chain. Weights never drop below one sample
-/// so a cutoff decay cannot zero the aggregate.
+/// so a cutoff decay cannot zero the aggregate. `fingerprints` is aligned
+/// with `usable`.
 fn reweigh_by_staleness(
     usable: Vec<ModelUpdate>,
+    fingerprints: &[H256],
     decay: StalenessDecay,
     node: &Node,
     held: &[&ConfirmedSubmission],
@@ -537,8 +547,9 @@ fn reweigh_by_staleness(
         .collect();
     usable
         .into_iter()
-        .map(|mut u| {
-            let s = depth_of.get(&model_fingerprint(&u)).copied().unwrap_or(0);
+        .zip(fingerprints)
+        .map(|(mut u, fp)| {
+            let s = depth_of.get(fp).copied().unwrap_or(0);
             let f = decay.factor(s);
             u.sample_count = ((u.sample_count as f64) * f).round().max(1.0) as usize;
             u
@@ -550,7 +561,7 @@ fn reweigh_by_staleness(
 mod tests {
     use super::super::node::tests::nodes;
     use super::*;
-    use crate::coupling::{record_aggregate_tx, register_tx, submit_model_tx};
+    use crate::coupling::{model_fingerprint, record_aggregate_tx, register_tx, submit_model_tx};
     use crate::orchestrator::registry_address;
     use blockfed_chain::Transaction;
     use blockfed_data::{SynthCifar, SynthCifarConfig};
@@ -694,6 +705,34 @@ mod tests {
         assert_eq!(done.usable.len(), 2);
         assert!(!done.members.contains(&2));
         assert!(done.outcome.params.iter().all(|p| p.is_finite()));
+    }
+
+    #[test]
+    fn aggregated_fingerprints_stay_aligned_through_screening_and_reweighting() {
+        let (test, model) = scoring();
+        let mut ns = nodes(3);
+        let (_, txs) = submissions(&mut ns, &model.params_flat(), 1, false);
+        confirm(&mut ns, txs, 10);
+        let (updates, txs) = submissions(&mut ns, &model.params_flat(), 2, true);
+        confirm(&mut ns, txs, 20);
+        confirm(&mut ns, Vec::new(), 30); // bury round 2 one block deeper
+        for u in &updates {
+            hold(&mut ns[0], u);
+        }
+        let decayed = DecentralizedConfig {
+            staleness_decay: Some(StalenessDecay::Polynomial { a: 1.0 }),
+            ..DecentralizedConfig::default()
+        };
+        let (dropped, done) =
+            engine(&decayed, &ns, &model).tier1(&mut ns[0], 0, 2, &[true; 3], &test);
+        assert_eq!(dropped, vec![(ClientId(2), MALFORMED)]);
+        let done = done.expect("two finite updates remain");
+        let rehashed: Vec<H256> = done.usable.iter().map(model_fingerprint).collect();
+        assert_eq!(done.fingerprints, rehashed);
+        // The decay did apply: depth 1 halves every weight.
+        let weights: Vec<usize> = done.usable.iter().map(|u| u.sample_count).collect();
+        let halved: Vec<usize> = done.usable.iter().map(|u| 5 * (u.client.0 + 1)).collect();
+        assert_eq!(weights, halved);
     }
 
     #[test]

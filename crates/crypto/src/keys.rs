@@ -7,15 +7,24 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::hash::{H160, H256};
-use crate::secp::{generator, group_order, Point};
+use crate::secp::{group_order, mul_generator, schnorr_equation_holds, Point};
 use crate::sha256::Sha256;
 use crate::u256::U256;
 
-/// A secret/public key pair.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A secret/public key pair. Its `Debug` output shows only the public half.
+#[derive(Clone, PartialEq, Eq)]
 pub struct KeyPair {
     secret: U256,
     public: PublicKey,
+}
+
+impl std::fmt::Debug for KeyPair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KeyPair")
+            .field("public", &self.public)
+            .field("address", &self.address())
+            .finish_non_exhaustive()
+    }
 }
 
 /// A public key (a point on secp256k1).
@@ -36,9 +45,11 @@ pub struct Signature {
 /// Error verifying or decoding signature material.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignatureError {
-    /// The public key bytes are not a curve point.
+    /// The public key bytes are not a canonical encoding of a finite curve
+    /// point.
     InvalidPublicKey,
-    /// The signature bytes are malformed (R not on curve or s out of range).
+    /// The signature bytes are malformed (R not a canonical finite curve
+    /// point, or s out of range).
     MalformedSignature,
     /// The signature does not verify for this key and message.
     VerificationFailed,
@@ -76,10 +87,9 @@ fn hash_to_scalar(parts: &[&[u8]]) -> U256 {
     for p in parts {
         h.update(p);
     }
-    let digest = h.finalize();
-    U256::from_be_bytes(digest.to_bytes())
-        .div_rem(group_order())
-        .1
+    let digest = U256::from_be_bytes(h.finalize().to_bytes());
+    // A 256-bit value is below 2n, so one subtraction reduces it.
+    digest.checked_sub(group_order()).unwrap_or(digest)
 }
 
 impl KeyPair {
@@ -117,7 +127,7 @@ impl KeyPair {
             !secret.is_zero() && secret < group_order(),
             "secret out of range"
         );
-        let point = generator().mul_scalar(secret);
+        let point = mul_generator(secret);
         let (x, y) = split64(&point.to_bytes());
         KeyPair {
             secret,
@@ -143,7 +153,7 @@ impl KeyPair {
         while k.is_zero() {
             k = hash_to_scalar(&[&k.to_be_bytes(), message, b"retry"]);
         }
-        let r_point = generator().mul_scalar(k);
+        let r_point = mul_generator(k);
         let (rx, ry) = split64(&r_point.to_bytes());
         let e = hash_to_scalar(&[&rx, &ry, &self.public.x, &self.public.y, message]);
         let s = k.add_mod(e.mul_mod(self.secret, n), n);
@@ -166,7 +176,7 @@ impl PublicKey {
     /// # Errors
     ///
     /// Returns [`SignatureError::InvalidPublicKey`] if the bytes are not a
-    /// curve point.
+    /// canonical encoding of a finite curve point.
     pub fn from_bytes(bytes: [u8; 64]) -> Result<Self, SignatureError> {
         match Point::from_bytes(&bytes) {
             Some(p) if !p.is_infinity() => {
@@ -192,8 +202,10 @@ impl PublicKey {
     ///
     /// # Errors
     ///
-    /// Returns [`SignatureError`] if the key or signature is malformed or the
-    /// equation `s·G = R + e·P` does not hold.
+    /// Returns [`SignatureError`] if the key or signature is malformed (a
+    /// coordinate not canonical, a point off the curve or at infinity, `s`
+    /// not below the group order) or the equation `s·G = R + e·P` does not
+    /// hold.
     pub fn verify(&self, message: &[u8], sig: &Signature) -> Result<(), SignatureError> {
         let pk_point =
             Point::from_bytes(&self.to_point_bytes()).ok_or(SignatureError::InvalidPublicKey)?;
@@ -201,15 +213,14 @@ impl PublicKey {
             return Err(SignatureError::InvalidPublicKey);
         }
         let r_point = Point::from_bytes(&join64(&sig.rx, &sig.ry))
+            .filter(|r| !r.is_infinity())
             .ok_or(SignatureError::MalformedSignature)?;
         let s = U256::from_be_bytes(sig.s);
         if s >= group_order() {
             return Err(SignatureError::MalformedSignature);
         }
         let e = hash_to_scalar(&[&sig.rx, &sig.ry, &self.x, &self.y, message]);
-        let lhs = generator().mul_scalar(s);
-        let rhs = r_point.add(&pk_point.mul_scalar(e));
-        if lhs == rhs {
+        if schnorr_equation_holds(s, e, pk_point, r_point) {
             Ok(())
         } else {
             Err(SignatureError::VerificationFailed)
@@ -311,6 +322,55 @@ mod tests {
         );
     }
 
+    /// `x = 1 + p` names the same field element as `x = 1`: decoding it
+    /// would give the point `(1, √8)` a second encoding, so a second address.
+    fn non_canonical_encoding() -> [u8; 64] {
+        let (x, y) = crate::secp::tests::point_at_x_one();
+        let x = x.wrapping_add(crate::secp::field_prime());
+        join64(&x.to_be_bytes(), &y.to_be_bytes())
+    }
+
+    #[test]
+    fn non_canonical_public_key_rejected() {
+        let bytes = non_canonical_encoding();
+        assert_eq!(
+            PublicKey::from_bytes(bytes),
+            Err(SignatureError::InvalidPublicKey)
+        );
+        let (x, y) = split64(&bytes);
+        let sig = keypair(12).sign(b"m");
+        assert_eq!(
+            PublicKey { x, y }.verify(b"m", &sig),
+            Err(SignatureError::InvalidPublicKey)
+        );
+    }
+
+    #[test]
+    fn non_canonical_or_infinite_r_rejected() {
+        let kp = keypair(13);
+        let mut sig = kp.sign(b"m");
+        (sig.rx, sig.ry) = split64(&non_canonical_encoding());
+        assert_eq!(
+            kp.public().verify(b"m", &sig),
+            Err(SignatureError::MalformedSignature)
+        );
+        (sig.rx, sig.ry) = ([0; 32], [0; 32]);
+        assert_eq!(
+            kp.public().verify(b"m", &sig),
+            Err(SignatureError::MalformedSignature)
+        );
+    }
+
+    #[test]
+    fn debug_output_hides_the_secret() {
+        let kp = keypair(14);
+        let shown = format!("{kp:?}");
+        assert!(shown.contains("KeyPair") && shown.contains("address"));
+        assert!(!shown.contains(&format!("{:x}", kp.secret)), "{shown}");
+        assert!(!shown.contains(&format!("{:?}", kp.secret)), "{shown}");
+        assert!(!shown.contains(&kp.secret.to_string()), "{shown}");
+    }
+
     #[test]
     fn oversized_s_rejected() {
         let kp = keypair(10);
@@ -334,6 +394,28 @@ mod tests {
     #[should_panic(expected = "secret out of range")]
     fn zero_secret_rejected() {
         let _ = KeyPair::from_secret(U256::ZERO);
+    }
+
+    /// Known-answer test: 200 seeded keys each sign one message; the digest
+    /// over every public key and signature pins the exact bytes keygen and
+    /// signing produce, so a kernel change cannot move a key, an address or
+    /// a transaction hash unnoticed.
+    #[test]
+    fn signature_known_answer() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut h = Sha256::new();
+        for i in 0..200 {
+            let kp = KeyPair::generate(&mut rng);
+            let msg = format!("message {i}");
+            let sig = kp.sign(msg.as_bytes());
+            assert!(kp.public().verify(msg.as_bytes(), &sig).is_ok());
+            h.update(&kp.public().to_point_bytes());
+            h.update(sig.digest().as_bytes());
+        }
+        assert_eq!(
+            h.finalize().to_hex(),
+            "615da39dfb9b852385905b4f7f1cf0a7f625207f7640b2d0d5d48be1c175043e"
+        );
     }
 
     #[test]
