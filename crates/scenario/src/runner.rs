@@ -368,7 +368,14 @@ mod tests {
         // first's work, visible in its counters and nowhere else.
         let store = blockfed_core::ChainStore::new();
         let c = runner.run_with_store(&spec, &store);
+        let entries = (store.exec_entries(), store.sig_entries());
+        assert!(entries.0 > 0 && entries.1 > 0, "the run cached nothing");
         let d = runner.run_with_store(&spec, &store);
+        assert_eq!(
+            (store.exec_entries(), store.sig_entries()),
+            entries,
+            "re-running the same cell must reuse the cache, not grow it"
+        );
         assert_eq!(c, a, "an empty shared store behaves like a private one");
         assert!(
             d.metrics.counter("store_exec_hits") > c.metrics.counter("store_exec_hits"),
@@ -388,6 +395,11 @@ mod tests {
         assert_eq!(c.mean_final_accuracy, d.mean_final_accuracy);
         assert_eq!(c.blocks, d.blocks);
         assert_eq!(c.records, d.records);
+        // Two idle epochs age every entry out: a shared handle cannot pin a
+        // dead run's state forever.
+        store.begin_epoch();
+        store.begin_epoch();
+        assert_eq!((store.exec_entries(), store.sig_entries()), (0, 0));
     }
 
     #[test]
@@ -510,6 +522,11 @@ mod tests {
         assert_eq!(report, again, "matrix replay must be deterministic");
         for cell in &report.cells {
             assert!(cell.records > 0, "{} never aggregated", cell.name);
+            assert!(
+                cell.mean_final_accuracy > 0.0,
+                "{} learned nothing",
+                cell.name
+            );
         }
         // JSON feed covers every cell.
         let json = report.to_json();

@@ -5,26 +5,27 @@
 //! on calm runs and under a chaos timeline (partition + heal, crash +
 //! restart). Controllers that *do* fire (threshold rules, the ε-greedy
 //! bandit) draw only from their dedicated RNG stream, so controlled runs are
-//! themselves bit-identical at any thread count.
+//! themselves bit-identical at any thread count. On a 48-peer churn+shock
+//! cell the threshold controller reaches 95 % accuracy no later than every
+//! static wait policy.
+
+mod common;
 
 use blockfed::core::{
-    ComputeProfile, ControllerSpec, Decentralized, DecentralizedConfig, Fault, TimedFault,
+    ComputeProfile, ControllerSpec, Decentralized, DecentralizedConfig, Fault, RuleConfig,
+    TimedFault,
 };
 use blockfed::data::{partition_dataset, Dataset, Partition, SynthCifar, SynthCifarConfig};
+use blockfed::fl::WaitPolicy;
 use blockfed::nn::SimpleNnConfig;
+use blockfed::scenario::{DataSpec, ScenarioReport, ScenarioRunner, ScenarioSpec};
 use blockfed::telemetry::MemorySink;
+use common::thread_guard;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
-
-/// Serializes tests that flip the global thread override.
-fn thread_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn world(n: usize, seed: u64) -> (Vec<Dataset>, Vec<Dataset>) {
     let gen = SynthCifar::new(SynthCifarConfig::tiny());
@@ -170,4 +171,103 @@ fn firing_controllers_are_thread_count_invariant() {
         }
     }
     blockfed::compute::set_threads(0);
+}
+
+/// The accuracy bar the time-to-accuracy comparison clocks: the first
+/// virtual second at which a whole round settled at or above this mean.
+const TTA_TARGET: f64 = 0.95;
+
+/// The 48-peer churn + hash-shock cell. Peer 0 holds a label-skewed shard
+/// and crawls through training: its round-1 update lands only after ~5
+/// virtual seconds (behind a partition window that forks its solo chain),
+/// and its round-2 update is still baking when the peer leaves for good at
+/// 10 s — so every wait-all round is gated by the straggler, and round 2 can
+/// only settle when the leave releases it. A first-k round sails past the
+/// straggler but its thin aggregates never see the excluded shards' classes.
+/// The cell also joins a late peer and doubles a miner's hash rate — the
+/// churn+shock regime the paper's static tables sweep.
+fn adaptive48_spec() -> ScenarioSpec {
+    let scaled = DataSpec::scaled_for(48);
+    // Floods relay around partial cuts, so truly isolating peer 0 means
+    // severing it from *every* other peer — minus peer 9, which has not
+    // joined yet and may not be referenced before it does.
+    let early: Vec<usize> = (1..48).filter(|&p| p != 9).collect();
+    let mut spec = ScenarioSpec::new("adaptive48", 48)
+        .rounds(3)
+        .consider_cutover(6, 40)
+        .data(DataSpec {
+            partition: Partition::DirichletLabelSkew { alpha: 0.2 },
+            synth: SynthCifarConfig {
+                train_per_class: 150,
+                test_per_class: 150,
+                ..scaled.synth
+            },
+        })
+        .partition_at(0.1, &[0], &early)
+        .heal_at(4.5)
+        .hash_shock_at(2.0, 5, 6.0)
+        .join_at(5.5, 9)
+        .leave_at(10.0, 0)
+        .seed(48);
+    // Peer 0 is the churn victim: it trains its (tiny, skewed) shard at a
+    // crawl. The tail half of the population is a medium-speed band, so a
+    // first-k aggregation deterministically excludes part of its skewed
+    // shards.
+    spec.computes[0].train_rate = 0.8;
+    for c in spec.computes.iter_mut().skip(24) {
+        c.train_rate = 60.0;
+    }
+    spec
+}
+
+/// Static wait-all, first-24 and first-36 against the threshold controller
+/// on the churn+shock cell. The rule demotes wait-all as soon as a round
+/// waited > 0.5 virtual seconds, keeping 90 % of the active peers, never
+/// promotes back and leaves staleness decay alone, so the trajectory is
+/// purely the wait-policy story. The controller must switch, the statics
+/// must not, and the controller must reach [`TTA_TARGET`] no later than
+/// every static policy. `--nocapture` prints the comparison table.
+#[test]
+fn controller_reaches_target_accuracy_no_later_than_any_static_policy() {
+    let base = adaptive48_spec();
+    let rule = RuleConfig {
+        wait_high_secs: 0.5,
+        wait_low_secs: 0.0,
+        keep_fraction: 0.9,
+        staleness_high_secs: f64::INFINITY,
+    };
+    let specs = [
+        base.clone().named("adaptive48-all"),
+        base.clone()
+            .named("adaptive48-first24")
+            .wait(WaitPolicy::FirstK(24)),
+        base.clone()
+            .named("adaptive48-first36")
+            .wait(WaitPolicy::FirstK(36)),
+        base.named("adaptive48-ctl")
+            .controller(ControllerSpec::threshold(rule)),
+    ];
+    let runner = ScenarioRunner::new();
+    let report = ScenarioReport {
+        name: "adaptive48".into(),
+        cells: blockfed::compute::par_map(&specs, |spec| runner.run(spec)),
+    };
+    println!("{}", report.time_to_accuracy_table(TTA_TARGET));
+
+    let (statics, ctl) = report.cells.split_at(3);
+    let ctl = &ctl[0];
+    assert!(ctl.policy_switches() > 0, "the controller never fired");
+    let ctl_tta = ctl
+        .time_to_accuracy(TTA_TARGET)
+        .expect("the controlled run never reached the target accuracy");
+    for cell in statics {
+        assert_eq!(cell.policy_switches(), 0, "{} metered a switch", cell.name);
+        if let Some(t) = cell.time_to_accuracy(TTA_TARGET) {
+            assert!(
+                ctl_tta <= t,
+                "static {} reached the target at {t:.1}s, before the controller's {ctl_tta:.1}s",
+                cell.name
+            );
+        }
+    }
 }

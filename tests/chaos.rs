@@ -6,6 +6,10 @@
 //! retry meters) no matter what the network does to them. A lossy chaotic
 //! cell is also bit-identical at 1 and 8 compute threads: loss sampling lives
 //! in the single-threaded event loop, never in the parallel training region.
+//! At 48 peers, loss costs time and retries but never the outcome: every
+//! lossy cell settles with its lossless twin's records and accuracy.
+
+mod common;
 
 use blockfed::core::{
     ComputeProfile, Decentralized, DecentralizedConfig, DecentralizedRun, Fault, TimedFault,
@@ -15,16 +19,10 @@ use blockfed::fl::WaitPolicy;
 use blockfed::net::GossipMode;
 use blockfed::nn::SimpleNnConfig;
 use blockfed::scenario::{ScenarioRunner, ScenarioSpec};
+use common::{bestk48, thread_guard};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Serializes tests that flip the global thread override.
-fn thread_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn world(n: usize, seed: u64) -> (Vec<Dataset>, Vec<Dataset>) {
     let gen = SynthCifar::new(SynthCifarConfig::tiny());
@@ -165,4 +163,33 @@ proptest! {
         prop_assert_eq!(&single, &eight, "thread count leaked into a lossy run");
         prop_assert!(!single.stalled(), "chaos cell must settle: {:?}", single);
     }
+}
+
+/// The 48-peer best-k cell across 1 %, 5 % and 20 % loss: every lossy cell
+/// settles through the fetch retry machinery — never the watchdog — with the
+/// lossless cell's records and final accuracy, nonzero drops, and at most
+/// the 8-attempt budget of retries per drop.
+#[test]
+fn lossy_48_peer_cells_settle_with_the_lossless_outcome() {
+    let runner = ScenarioRunner::new();
+    let clean = runner.run(&bestk48());
+    let mut retries = Vec::new();
+    for loss in [0.01, 0.05, 0.20] {
+        let cell = runner.run(&bestk48().loss(loss));
+        assert!(!cell.stalled(), "{loss} loss hit the watchdog: {cell:?}");
+        assert_eq!(cell.records, clean.records, "{loss} loss lost rounds");
+        assert_eq!(
+            cell.mean_final_accuracy, clean.mean_final_accuracy,
+            "{loss} loss changed the wait-all aggregation outcome"
+        );
+        assert!(cell.dropped_msgs() > 0, "{loss} loss never dropped");
+        assert!(
+            cell.fetch_retries() <= cell.dropped_msgs() * 8,
+            "{loss} loss: {} retries for {} drops",
+            cell.fetch_retries(),
+            cell.dropped_msgs()
+        );
+        retries.push(cell.fetch_retries());
+    }
+    assert!(retries[1] > 0, "5% loss never exercised a fetch retry");
 }

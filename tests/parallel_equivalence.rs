@@ -7,6 +7,8 @@
 //! are switched through `blockfed::compute::set_threads`, serialized by a
 //! process-wide lock because the override is global.
 
+mod common;
+
 use blockfed::chain::pow;
 use blockfed::crypto::sha256::sha256;
 use blockfed::fl::robust::{coordinate_median, krum_scores, trimmed_mean};
@@ -14,18 +16,12 @@ use blockfed::fl::{fed_avg, fed_avg_unweighted, ClientId, ModelUpdate};
 use blockfed::tensor::ops::{clip, log_softmax_rows, relu, softmax_rows};
 use blockfed::tensor::{conv2d_forward, im2col, matmul, Conv2dSpec, Tensor};
 use blockfed::tensor::{matmul_at, matmul_bt};
+use common::thread_guard;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Serializes tests that flip the global thread override.
-fn thread_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn with_threads<T: PartialEq + std::fmt::Debug>(f: impl Fn() -> T) -> T {
     let _g = thread_guard();

@@ -3,18 +3,16 @@
 //! width. The cell must run green, confirm aggregates whose masks set bits
 //! ≥ 128 (impossible under the old 128-peer ceiling), replay bit-identically
 //! at any worker count, and keep flood traffic at the digest-sized
-//! announce term instead of payload × edges.
+//! announce term instead of payload × edges. Its 16-committee epidemic twin
+//! must finish every round and move at most half the flat cell's bytes.
 
+mod common;
+
+use blockfed::core::CommitteeSpec;
 use blockfed::fl::Strategy;
 use blockfed::net::GossipMode;
 use blockfed::scenario::{CellReport, DataSpec, ScenarioRunner, ScenarioSpec};
-
-/// Serializes tests that flip the global thread override.
-fn thread_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use common::thread_guard;
 
 /// A 256-peer announce/fetch cell. `BestK(200)` keeps aggregation linear and
 /// guarantees the chosen combination includes members past index 128: at
@@ -70,4 +68,29 @@ fn two_hundred_fifty_six_peer_cell_runs_green_with_wide_masks_at_any_thread_coun
     // already excludes host wall-clock).
     let eight = run_at(8);
     assert_eq!(single, eight, "thread count changed the simulation");
+
+    // The same population in 16 committees under epidemic fan-out: every
+    // peer records and merges every round, at ≤ 50 % of the flat traffic.
+    let twin = ScenarioRunner::new().run(
+        &spec
+            .named("scale256-committee")
+            .gossip(GossipMode::Epidemic { fanout: 3 })
+            .committees(CommitteeSpec::contiguous(16)),
+    );
+    assert_eq!(
+        twin.records,
+        256 * 2,
+        "committee rounds incomplete: {twin:?}"
+    );
+    assert_eq!(
+        twin.committee_rounds(),
+        256 * 2,
+        "every peer must complete a tier-2 merge every round"
+    );
+    let flat_total = single.gossip_bytes + single.fetch_bytes;
+    let twin_total = twin.gossip_bytes + twin.fetch_bytes;
+    assert!(
+        twin_total * 2 <= flat_total,
+        "committees must cut gossip + fetch to ≤ 50 % of flat: {twin_total} vs {flat_total}"
+    );
 }

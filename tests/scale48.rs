@@ -1,36 +1,26 @@
-//! The >32-peer scale unlock, end to end: a 48-peer scenario cell must run
+//! The >32-peer scale unlock, end to end: the 48-peer best-k cell must run
 //! green, record aggregates on chain whose combination masks cross the old
-//! u32 boundary, replay bit-identically at any worker count, and oversize
-//! populations must be rejected gracefully with the typed error instead of
-//! a panic.
+//! u32 boundary, replay bit-identically at any worker count, and move exactly
+//! its committed bytes in every layout that is the same simulation. Oversize
+//! populations must be rejected gracefully with the typed error instead of a
+//! panic.
 
-use blockfed::core::{ConfigError, Decentralized, DecentralizedConfig};
+mod common;
+
+use blockfed::core::{CommitteeSpec, ConfigError, Decentralized, DecentralizedConfig};
 use blockfed::data::{SynthCifar, SynthCifarConfig};
 use blockfed::fl::Strategy;
+use blockfed::net::GossipMode;
 use blockfed::scenario::{CellReport, DataSpec, ScenarioRunner, ScenarioSpec};
+use common::{bestk48, thread_guard, BESTK48_FETCH_BYTES, BESTK48_GOSSIP_BYTES};
 
-/// Serializes tests that flip the global thread override.
-fn thread_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// A 48-peer cell whose requested `Consider` is forced through the cutover
-/// onto `BestK(40)` — the linear arm, with 40-member aggregates whose masks
-/// necessarily span bits ≥ 32.
-fn wide_spec() -> ScenarioSpec {
-    ScenarioSpec::new("scale48", 48)
-        .rounds(2)
-        .consider_cutover(6, 40)
-        .data(DataSpec::scaled_for(48))
-        .seed(4848)
-}
+/// Flood bytes of the same cell under legacy full-payload flooding.
+const BESTK48_FULL_GOSSIP_BYTES: u64 = 51_136_000;
 
 #[test]
 fn forty_eight_peer_cell_runs_green_with_wide_masks_at_any_thread_count() {
     let _g = thread_guard();
-    let spec = wide_spec();
+    let spec = bestk48();
     assert_eq!(
         spec.resolved_strategy(),
         Strategy::BestK(40),
@@ -59,6 +49,47 @@ fn forty_eight_peer_cell_runs_green_with_wide_masks_at_any_thread_count() {
     assert_eq!(single, eight, "thread count changed the simulation");
 }
 
+/// The byte guard. The lossless cell moves exactly its committed bytes with
+/// no drops, retries or stall; a single committee lowers to the flat path
+/// byte for byte; and full flooding is the same simulation with every
+/// payload moved onto the flood meter.
+#[test]
+fn lossless_cell_moves_exactly_the_committed_bytes() {
+    let runner = ScenarioRunner::new();
+    let clean = runner.run(&bestk48());
+    assert_eq!(
+        (clean.gossip_bytes, clean.fetch_bytes),
+        (BESTK48_GOSSIP_BYTES, BESTK48_FETCH_BYTES),
+        "announce/fetch bytes moved off the committed accounting"
+    );
+    assert_eq!(clean.dropped_msgs(), 0, "clean links never drop");
+    assert_eq!(clean.fetch_retries(), 0, "clean links never retry");
+    assert!(!clean.stalled());
+
+    let one = runner.run(&bestk48().committees(CommitteeSpec::contiguous(1)));
+    assert_eq!(
+        (one.gossip_bytes, one.fetch_bytes),
+        (BESTK48_GOSSIP_BYTES, BESTK48_FETCH_BYTES),
+        "a single committee must reproduce the flat bytes exactly"
+    );
+    assert_eq!(
+        one.committee_rounds(),
+        0,
+        "a single committee must lower to the flat path, not merge"
+    );
+
+    let full = runner.run(&bestk48().gossip(GossipMode::Full));
+    assert_eq!(
+        full.mean_final_accuracy, clean.mean_final_accuracy,
+        "gossip mode changed the simulation"
+    );
+    assert_eq!(full.makespan_secs, clean.makespan_secs);
+    assert_eq!(full.blocks, clean.blocks);
+    assert_eq!(full.records, clean.records);
+    assert_eq!(full.fetch_bytes, 0, "full flooding never meters fetches");
+    assert_eq!(full.gossip_bytes, BESTK48_FULL_GOSSIP_BYTES);
+}
+
 #[test]
 fn oversize_populations_fail_gracefully_not_by_panic() {
     // The spec engine and the orchestrator reject 1025 peers — one past the
@@ -82,7 +113,8 @@ fn oversize_populations_fail_gracefully_not_by_panic() {
     assert_eq!(err.to_string(), spec_err);
 
     // The whole mask domain is accepted now: 257 (the old ceiling's
-    // rejection point) and 1024 both construct.
+    // rejection point) and 1024 both construct, and a 1024-peer committee
+    // spec validates.
     for n in [257usize, 1024] {
         let inside: Vec<_> = (0..n).map(|_| test.clone()).collect();
         assert!(
@@ -90,4 +122,9 @@ fn oversize_populations_fail_gracefully_not_by_panic() {
             "{n} peers must be accepted"
         );
     }
+    ScenarioSpec::new("at-cap", 1024)
+        .committees(CommitteeSpec::contiguous(16))
+        .data(DataSpec::scaled_for(1024))
+        .validate()
+        .unwrap();
 }

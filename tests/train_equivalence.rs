@@ -8,24 +8,21 @@
 //! **bit-identical** `params_flat()` to the sequential `train_epochs` loop at
 //! `BLOCKFED_THREADS` ∈ {1, 2, 8} — including batch sizes that do not divide
 //! evenly across workers — and a paper-scale scenario cell that trains
-//! through the parallel loop replays bit-identically at 1 and 8 threads.
+//! through the parallel loop replays bit-identically at 1 and 8 threads and
+//! equals its sequential-loop twin.
+
+mod common;
 
 use blockfed::data::{Batcher, SynthCifar, SynthCifarConfig};
 use blockfed::nn::{train_shards, Sequential, Sgd, SimpleNnConfig};
 use blockfed::scenario::{CellReport, DataSpec, ScenarioRunner, ScenarioSpec};
 use blockfed::tensor::Tensor;
+use common::thread_guard;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Serializes tests that flip the global thread override.
-fn thread_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn param_bits(model: &Sequential) -> Vec<u32> {
     model.params_flat().iter().map(|p| p.to_bits()).collect()
@@ -161,9 +158,9 @@ fn par_evaluate_and_predict_are_thread_count_invariant() {
 #[test]
 fn paper_scale_cell_trains_bit_identically_at_1_and_8_threads() {
     let _g = thread_guard();
-    // The same preset the `--paper` CI cell runs: 3 peers training the
-    // ~62 K-parameter SimpleNN on the full SynthCifar generator through the
-    // batch-parallel loop — no synthesized tiny data anywhere.
+    // 3 peers training the ~62 K-parameter SimpleNN on the full SynthCifar
+    // generator through the batch-parallel loop — no synthesized tiny data
+    // anywhere.
     let spec = ScenarioSpec::paper_cell("paper-scale", 3);
     assert_eq!(spec.data, DataSpec::paper(), "full-generator data");
     assert!(
@@ -189,6 +186,13 @@ fn paper_scale_cell_trains_bit_identically_at_1_and_8_threads() {
     // excludes host wall-clock).
     let eight = run_at(8);
     assert_eq!(single, eight, "thread count changed the simulation");
+    // The sequential training loop is the same simulation: the two cells
+    // differ only in host wall-clock.
+    let sequential = ScenarioRunner::new().run(&spec.batch_parallel(false));
+    assert_eq!(
+        single, sequential,
+        "batch-parallel training changed the simulation"
+    );
 }
 
 proptest! {
