@@ -6,8 +6,8 @@
 //! Simulates a miner-population shock (participants join at one point, leave
 //! at another) and measures how quickly each retarget rule restores the ~13 s
 //! cadence. The Homestead fixed step is the control arm; the epochal
-//! moving-average and PI-controller rules stand in for the learned predictor
-//! (see DESIGN.md's substitution table).
+//! moving-average and PI-controller rules stand in for the learned predictor,
+//! which cannot be reproduced offline.
 
 use blockfed_chain::pow::TARGET_BLOCK_TIME_NS;
 use blockfed_chain::{simulate_cadence, DifficultyController, RetargetRule};

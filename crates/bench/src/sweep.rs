@@ -5,11 +5,11 @@
 //! a declarative spec lowered and executed per arm, so the ablation's shape
 //! is exactly a scenario matrix varied along the seed axis.
 //!
-//! DESIGN.md's determinism note: every run is bit-for-bit reproducible from
-//! one seed, so the cheap robustness check is to re-run the headline
-//! trade-off across seeds and report mean ± std. If the "async loses only a
-//! little accuracy but waits much less" shape held for a single lucky seed,
-//! it dies here; if it is real, the deltas keep their sign and magnitude.
+//! Every run is bit-for-bit reproducible from one seed, so the cheap
+//! robustness check is to re-run the headline trade-off across seeds and
+//! report mean ± std. If the "async loses only a little accuracy but waits
+//! much less" shape held for a single lucky seed, it dies here; if it is
+//! real, the deltas keep their sign and magnitude.
 
 use blockfed_fl::WaitPolicy;
 use blockfed_nn::ModelKind;

@@ -12,7 +12,7 @@ use crate::genesis::GenesisSpec;
 use crate::pow;
 use crate::receipt::Receipt;
 use crate::runtime::ContractRuntime;
-use crate::state::{State, StateDelta};
+use crate::state::State;
 use crate::store::ChainStore;
 use crate::tx::Transaction;
 
@@ -22,7 +22,8 @@ pub enum SealPolicy {
     /// Require `hash(header) ≤ target` (real proof-of-work).
     Full,
     /// Trust the seal; the mining race was decided by the discrete-event
-    /// simulation upstream (statistically equivalent, documented in DESIGN.md).
+    /// simulation upstream, which draws each winner from the exponential
+    /// race that real hashing at the same rates and difficulty produces.
     Simulated,
 }
 
@@ -31,12 +32,6 @@ pub enum SealPolicy {
 pub enum ImportError {
     /// The parent block is unknown (orphan).
     UnknownParent(H256),
-    /// The parent block is known but its state was pruned below the
-    /// finalized ancestor, so the import cannot re-execute. Only possible on
-    /// a chain with [`Blockchain::with_prune_depth`] (or after an explicit
-    /// [`Blockchain::prune_states`]) and only for blocks forking off below
-    /// the finalized height.
-    StatePruned(H256),
     /// Height is not parent height + 1.
     BadNumber {
         /// Expected height.
@@ -70,7 +65,6 @@ impl std::fmt::Display for ImportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ImportError::UnknownParent(h) => write!(f, "unknown parent {h}"),
-            ImportError::StatePruned(h) => write!(f, "parent state pruned: {h}"),
             ImportError::BadNumber { expected, got } => {
                 write!(f, "bad height: expected {expected}, got {got}")
             }
@@ -106,52 +100,25 @@ pub enum ImportOutcome {
     AlreadyKnown,
 }
 
-/// How a block's post-state is stored: a full snapshot, or a structural
-/// diff against the parent's state (materialized on demand by
-/// [`Blockchain::state_at`]).
-#[derive(Debug, Clone)]
-enum StateEntry {
-    /// A full, materialized state (genesis, every
-    /// `snapshot_interval`-aligned height, and re-anchor points after
-    /// pruning or forking).
-    Snapshot(Arc<State>),
-    /// The diff this block applies on top of its parent's state.
-    Delta {
-        parent: H256,
-        delta: Arc<StateDelta>,
-    },
-}
-
-/// Default height interval between full state snapshots; blocks in between
-/// carry only their diff against the parent.
-const DEFAULT_SNAPSHOT_INTERVAL: u64 = 32;
-
 /// An in-memory blockchain backed by a run-scoped [`ChainStore`].
 ///
-/// Per-block states are kept as structural diffs with periodic full
-/// snapshots (see [`Blockchain::with_snapshot_interval`]), so the chain
-/// holds one snapshot plus O(changed accounts) per block instead of a full
-/// state clone per block. Validated executions and signature verdicts are
-/// memoized in the store, so N simulated peers sharing one store (see
-/// [`Blockchain::with_store`]) execute each block once instead of N times —
-/// and the memos die with the store handle instead of living for the
-/// process. [`Blockchain::fork_at`] branches a new chain off any stored
-/// block in O(ancestors) pointer copies, and [`Blockchain::prune_states`]
-/// drops state entries below a finalized ancestor.
+/// Each imported block's post-state is the `Arc` the store memoized when the
+/// block was first executed, so chains sharing one store (see
+/// [`Blockchain::with_store`]) execute each block once and hold one state per
+/// block between them, not one per peer. The memos die with the store handle
+/// instead of living for the process. [`Blockchain::fork_at`] branches a new
+/// chain off any stored block in O(ancestors) pointer copies.
 #[derive(Clone)]
 pub struct Blockchain {
     blocks: HashMap<H256, Arc<Block>>,
-    states: HashMap<H256, StateEntry>,
+    states: HashMap<H256, Arc<State>>,
     receipts: HashMap<H256, Arc<Vec<Receipt>>>,
     total_difficulty: HashMap<H256, u128>,
     head: H256,
-    head_state: Arc<State>,
     genesis: H256,
     seal_policy: SealPolicy,
     retarget_rule: crate::retarget::RetargetRule,
     store: ChainStore,
-    snapshot_interval: u64,
-    prune_depth: Option<u64>,
 }
 
 impl Blockchain {
@@ -173,15 +140,11 @@ impl Blockchain {
     pub fn with_store(spec: &GenesisSpec, seal_policy: SealPolicy, store: ChainStore) -> Self {
         let (genesis_block, genesis_state) = spec.build();
         let genesis_hash = genesis_block.hash();
-        let genesis_state = Arc::new(genesis_state);
         let mut blocks = HashMap::new();
         let mut states = HashMap::new();
         let mut total_difficulty = HashMap::new();
         blocks.insert(genesis_hash, Arc::new(genesis_block));
-        states.insert(
-            genesis_hash,
-            StateEntry::Snapshot(Arc::clone(&genesis_state)),
-        );
+        states.insert(genesis_hash, Arc::new(genesis_state));
         total_difficulty.insert(genesis_hash, spec.difficulty);
         Blockchain {
             blocks,
@@ -189,38 +152,16 @@ impl Blockchain {
             receipts: HashMap::new(),
             total_difficulty,
             head: genesis_hash,
-            head_state: genesis_state,
             genesis: genesis_hash,
             seal_policy,
             retarget_rule: crate::retarget::RetargetRule::Homestead,
             store,
-            snapshot_interval: DEFAULT_SNAPSHOT_INTERVAL,
-            prune_depth: None,
         }
     }
 
     /// The store backing this chain.
     pub fn store(&self) -> &ChainStore {
         &self.store
-    }
-
-    /// Sets the height interval between full state snapshots (builder
-    /// style). Smaller intervals materialize historical states faster;
-    /// larger ones hold less memory. Must be ≥ 1.
-    #[must_use]
-    pub fn with_snapshot_interval(mut self, interval: u64) -> Self {
-        self.snapshot_interval = interval.max(1);
-        self
-    }
-
-    /// Enables automatic state pruning (builder style): after every head
-    /// advance, state entries that cannot be materialized from the canonical
-    /// ancestor `depth` blocks below the head are dropped (see
-    /// [`Blockchain::prune_states`]). Blocks and receipts are never pruned.
-    #[must_use]
-    pub fn with_prune_depth(mut self, depth: u64) -> Self {
-        self.prune_depth = Some(depth);
-        self
     }
 
     /// The difficulty-retarget rule used by [`Blockchain::build_candidate`]
@@ -284,40 +225,12 @@ impl Blockchain {
 
     /// The state at the canonical head.
     pub fn state(&self) -> &State {
-        self.head_state.as_ref()
+        &self.states[&self.head]
     }
 
-    /// The state after a given block: the cached head state, a stored
-    /// snapshot, or a state materialized by replaying the block's delta
-    /// chain forward from the nearest snapshot. `None` if the block is
-    /// unknown or its state was pruned.
+    /// The state after a given block, `None` if the block is unknown.
     pub fn state_at(&self, hash: &H256) -> Option<Arc<State>> {
-        if *hash == self.head {
-            return Some(Arc::clone(&self.head_state));
-        }
-        // Walk deltas back to a snapshot, then replay them forward.
-        let mut path: Vec<Arc<StateDelta>> = Vec::new();
-        let mut cursor = *hash;
-        let base = loop {
-            match self.states.get(&cursor)? {
-                StateEntry::Snapshot(s) => break Arc::clone(s),
-                StateEntry::Delta { parent, delta } => {
-                    path.push(Arc::clone(delta));
-                    if *parent == self.head {
-                        break Arc::clone(&self.head_state);
-                    }
-                    cursor = *parent;
-                }
-            }
-        };
-        if path.is_empty() {
-            return Some(base);
-        }
-        let mut state = (*base).clone();
-        for delta in path.iter().rev() {
-            state.apply(delta);
-        }
-        Some(Arc::new(state))
+        self.states.get(hash).cloned()
     }
 
     /// A block by hash.
@@ -425,17 +338,15 @@ impl Blockchain {
 
         // Re-execute on the parent state — unless a chain sharing this
         // chain's store already validated this exact block: a hit skips the
-        // execution, the whole-state root hash, and the parent-state diff.
+        // execution and the whole-state root hash.
         // The memo key commits to the runtime's execution fingerprint, so
         // semantically different runtimes never share results (see
         // `store.rs` for the full soundness argument).
         let memo_key = (hash, runtime.execution_fingerprint());
-        let (exec_state, exec_receipts, delta) = match self.store.lookup_exec(&memo_key) {
+        let (exec_state, exec_receipts) = match self.store.lookup_exec(&memo_key) {
             Some(entry) => entry,
             None => {
-                let parent_state = self
-                    .state_at(&block.header.parent)
-                    .ok_or(ImportError::StatePruned(block.header.parent))?;
+                let parent_state = &self.states[&block.header.parent];
                 let env = BlockEnv {
                     number: block.header.number,
                     timestamp_ns: block.header.timestamp_ns,
@@ -443,7 +354,7 @@ impl Blockchain {
                     gas_limit: block.header.gas_limit,
                 };
                 let result = execute_block_txs_with(
-                    &parent_state,
+                    parent_state,
                     &block.transactions,
                     &env,
                     runtime,
@@ -462,8 +373,7 @@ impl Blockchain {
                         computed: result.gas_used,
                     });
                 }
-                let delta = Arc::new(parent_state.diff(&result.state));
-                let entry = (Arc::new(result.state), Arc::new(result.receipts), delta);
+                let entry = (Arc::new(result.state), Arc::new(result.receipts));
                 self.store.insert_exec(memo_key, entry.clone());
                 entry
             }
@@ -472,20 +382,7 @@ impl Blockchain {
         let parent_td = self.total_difficulty[&block.header.parent];
         let td = parent_td.saturating_add(block.header.difficulty);
         self.total_difficulty.insert(hash, td);
-        // Snapshot on the interval (and whenever the parent's own state
-        // entry is gone, e.g. pruned, so the new entry stays materializable);
-        // otherwise store only the diff.
-        let entry = if block.header.number.is_multiple_of(self.snapshot_interval)
-            || !self.states.contains_key(&block.header.parent)
-        {
-            StateEntry::Snapshot(Arc::clone(&exec_state))
-        } else {
-            StateEntry::Delta {
-                parent: block.header.parent,
-                delta,
-            }
-        };
-        self.states.insert(hash, entry);
+        self.states.insert(hash, exec_state);
         self.receipts.insert(hash, exec_receipts);
         let parent_hash = block.header.parent;
         self.blocks.insert(hash, block);
@@ -499,10 +396,6 @@ impl Blockchain {
         if td > head_td || (td == head_td && hash < self.head) {
             let old_head = self.head;
             self.head = hash;
-            self.head_state = exec_state;
-            if let Some(depth) = self.prune_depth {
-                self.prune_states(depth);
-            }
             if parent_hash == old_head {
                 Ok(ImportOutcome::Extended)
             } else {
@@ -521,9 +414,8 @@ impl Blockchain {
     /// run under a different aggregation strategy — without re-executing
     /// the shared prefix.
     ///
-    /// Returns `None` if `hash` is unknown or its state was pruned.
+    /// Returns `None` if `hash` is unknown.
     pub fn fork_at(&self, hash: &H256) -> Option<Blockchain> {
-        let head_state = self.state_at(hash)?;
         let mut blocks = HashMap::new();
         let mut states = HashMap::new();
         let mut receipts = HashMap::new();
@@ -532,9 +424,7 @@ impl Blockchain {
         loop {
             let block = self.blocks.get(&cursor)?;
             blocks.insert(cursor, Arc::clone(block));
-            if let Some(entry) = self.states.get(&cursor) {
-                states.insert(cursor, entry.clone());
-            }
+            states.insert(cursor, Arc::clone(&self.states[&cursor]));
             if let Some(r) = self.receipts.get(&cursor) {
                 receipts.insert(cursor, Arc::clone(r));
             }
@@ -544,70 +434,17 @@ impl Blockchain {
             }
             cursor = block.header.parent;
         }
-        // Anchor the fork head with a materialized snapshot so the fork can
-        // always execute its first block, whatever was pruned upstream.
-        states.insert(*hash, StateEntry::Snapshot(Arc::clone(&head_state)));
         Some(Blockchain {
             blocks,
             states,
             receipts,
             total_difficulty,
             head: *hash,
-            head_state,
             genesis: self.genesis,
             seal_policy: self.seal_policy,
             retarget_rule: self.retarget_rule,
             store: self.store.clone(),
-            snapshot_interval: self.snapshot_interval,
-            prune_depth: self.prune_depth,
         })
-    }
-
-    /// Drops state entries that cannot be materialized from the canonical
-    /// ancestor `depth` blocks below the head (the *finalized* block): the
-    /// finalized state is snapshotted, then every state entry either at a
-    /// height below the finalized one or on a side branch rooted below it is
-    /// removed. Blocks, receipts, and total difficulties are kept — history
-    /// audits still scan the full canonical chain; only the ability to
-    /// *execute* from pruned heights is given up (imports forking off below
-    /// the finalized block fail with [`ImportError::StatePruned`]).
-    ///
-    /// Returns the number of state entries dropped.
-    pub fn prune_states(&mut self, depth: u64) -> usize {
-        let fin_number = self.height().saturating_sub(depth);
-        let canon = self.canonical_chain();
-        let fin_hash = canon[fin_number as usize];
-        if let Some(fin_state) = self.state_at(&fin_hash) {
-            self.states
-                .insert(fin_hash, StateEntry::Snapshot(fin_state));
-        }
-        let mut keep: HashMap<H256, bool> = HashMap::new();
-        let hashes: Vec<H256> = self.states.keys().copied().collect();
-        for h in hashes {
-            self.decide_keep(h, fin_number, &mut keep);
-        }
-        let before = self.states.len();
-        self.states
-            .retain(|h, _| keep.get(h).copied().unwrap_or(false));
-        before - self.states.len()
-    }
-
-    /// Whether the state entry at `hash` survives pruning at `fin_number`:
-    /// it must sit at or above the finalized height and its delta chain must
-    /// bottom out in a snapshot that also survives.
-    fn decide_keep(&self, hash: H256, fin_number: u64, keep: &mut HashMap<H256, bool>) -> bool {
-        if let Some(&k) = keep.get(&hash) {
-            return k;
-        }
-        let verdict = match (self.blocks.get(&hash), self.states.get(&hash)) {
-            (Some(block), Some(entry)) if block.header.number >= fin_number => match entry {
-                StateEntry::Snapshot(_) => true,
-                StateEntry::Delta { parent, .. } => self.decide_keep(*parent, fin_number, keep),
-            },
-            _ => false,
-        };
-        keep.insert(hash, verdict);
-        verdict
     }
 
     /// Builds an unsealed candidate block on the current head: executes `txs`,
@@ -637,13 +474,8 @@ impl Blockchain {
             miner,
             gas_limit: parent.header.gas_limit,
         };
-        let result = execute_block_txs_with(
-            self.head_state.as_ref(),
-            &txs,
-            &env,
-            runtime,
-            &self.store.sig_cache(),
-        );
+        let result =
+            execute_block_txs_with(self.state(), &txs, &env, runtime, &self.store.sig_cache());
         let header = Header {
             parent: self.head,
             number: parent.header.number + 1,
@@ -1079,12 +911,14 @@ mod tests {
         );
     }
 
+    fn transfer_spec(k: &KeyPair) -> GenesisSpec {
+        GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(16)
+    }
+
     /// Builds a chain of `n` simulated blocks, each carrying one transfer,
     /// so every block's state differs from its parent's.
-    fn transfer_chain(k: &KeyPair, n: u64, snapshot_interval: u64) -> Blockchain {
-        let spec = GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(16);
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated)
-            .with_snapshot_interval(snapshot_interval);
+    fn transfer_chain(k: &KeyPair, n: u64) -> Blockchain {
+        let mut chain = Blockchain::with_seal_policy(&transfer_spec(k), SealPolicy::Simulated);
         for i in 0..n {
             let tx = Transaction::transfer(k.address(), key(99).address(), 1, i).signed(k);
             let b = chain.build_candidate(k.address(), vec![tx], (i + 1) * 1_000, &mut NullRuntime);
@@ -1094,21 +928,55 @@ mod tests {
     }
 
     #[test]
-    fn state_at_materializes_through_delta_chains() {
+    fn state_at_is_one_shared_state_per_block() {
         let k = key(40);
-        // Snapshot every 3 blocks: heights 1, 2, 4, 5, 7 are delta entries.
-        let chain = transfer_chain(&k, 7, 3);
-        for hash in chain.canonical_chain() {
-            let declared = chain.block(&hash).unwrap().header.state_root;
-            let materialized = chain.state_at(&hash).unwrap().root();
-            assert_eq!(materialized, declared, "state at {hash} diverges");
+        let mut chain = transfer_chain(&k, 7);
+        let canon = chain.canonical_chain();
+        // A side-chain block at height 5, lighter than the height-7 head.
+        let tx = Transaction::transfer(k.address(), key(98).address(), 5, 4).signed(&k);
+        let side = chain.fork_at(&canon[4]).unwrap().build_candidate(
+            k.address(),
+            vec![tx],
+            4_500,
+            &mut NullRuntime,
+        );
+        let side_hash = side.hash();
+        assert_eq!(
+            chain.import(side, &mut NullRuntime),
+            Ok(ImportOutcome::SideChain)
+        );
+        for hash in canon.iter().chain([&side_hash]) {
+            let declared = chain.block(hash).unwrap().header.state_root;
+            assert_eq!(
+                chain.state_at(hash).unwrap().root(),
+                declared,
+                "state at {hash}"
+            );
+        }
+        // A peer on the same store holds the very state the store memoized,
+        // not a copy of its own.
+        let mut peer = Blockchain::with_store(
+            &transfer_spec(&k),
+            SealPolicy::Simulated,
+            chain.store().clone(),
+        );
+        for hash in canon[1..].iter().chain([&side_hash]) {
+            peer.import_arc(chain.block_arc(hash).unwrap(), &mut NullRuntime)
+                .unwrap();
+            assert!(
+                Arc::ptr_eq(
+                    &peer.state_at(hash).unwrap(),
+                    &chain.state_at(hash).unwrap()
+                ),
+                "state at {hash} is a per-peer copy"
+            );
         }
     }
 
     #[test]
     fn fork_at_branches_share_prefix_and_diverge() {
         let k = key(41);
-        let chain = transfer_chain(&k, 4, 32);
+        let chain = transfer_chain(&k, 4);
         let canon = chain.canonical_chain();
         let fork_point = canon[2];
 
@@ -1148,81 +1016,9 @@ mod tests {
     }
 
     #[test]
-    fn prune_drops_old_states_but_keeps_history() {
-        let k = key(42);
-        let mut chain = transfer_chain(&k, 6, 2);
-        let canon = chain.canonical_chain();
-        let dropped = chain.prune_states(2);
-        assert!(dropped > 0);
-        // Below the finalized height (6 - 2 = 4): blocks and receipts stay,
-        // states are gone (except where nothing existed to prune).
-        for hash in &canon[..4] {
-            assert!(chain.contains(hash), "blocks are never pruned");
-            assert!(chain.state_at(hash).is_none(), "state below fin must go");
-        }
-        // At and above the finalized height everything still materializes.
-        for hash in &canon[4..] {
-            assert_eq!(
-                chain.state_at(hash).unwrap().root(),
-                chain.block(hash).unwrap().header.state_root
-            );
-        }
-        // The head still extends normally after pruning.
-        let tx = Transaction::transfer(k.address(), key(99).address(), 1, 6).signed(&k);
-        let b = chain.build_candidate(k.address(), vec![tx], 100_000, &mut NullRuntime);
-        chain.import(b, &mut NullRuntime).unwrap();
-        assert_eq!(chain.height(), 7);
-
-        // A block forking off below the finalized height cannot execute.
-        let genesis = chain.genesis();
-        let mut orphaned_fork = Block {
-            header: Header {
-                parent: genesis,
-                number: 1,
-                timestamp_ns: 500,
-                miner: k.address(),
-                difficulty: 16,
-                nonce: 0,
-                tx_root: Block::compute_tx_root(&[]),
-                state_root: H256::zero(),
-                gas_used: 0,
-                gas_limit: chain.head_block().header.gas_limit,
-            },
-            transactions: vec![],
-        };
-        orphaned_fork.header.nonce = 1;
-        assert_eq!(
-            chain.import(orphaned_fork, &mut NullRuntime),
-            Err(ImportError::StatePruned(genesis))
-        );
-    }
-
-    #[test]
-    fn auto_prune_bounds_state_entries() {
-        let k = key(43);
-        let spec = GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(16);
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated)
-            .with_snapshot_interval(2)
-            .with_prune_depth(2);
-        for i in 0..10u64 {
-            let tx = Transaction::transfer(k.address(), key(99).address(), 1, i).signed(&k);
-            let b = chain.build_candidate(k.address(), vec![tx], (i + 1) * 1_000, &mut NullRuntime);
-            chain.import(b, &mut NullRuntime).unwrap();
-            // depth 2 keeps at most fin..head (3 heights) worth of states.
-            assert!(
-                chain.states.len() <= 3,
-                "states grew: {}",
-                chain.states.len()
-            );
-        }
-        assert_eq!(chain.height(), 10);
-        assert_eq!(chain.block_count(), 11, "blocks all retained");
-    }
-
-    #[test]
     fn cloned_chains_are_independent_views_over_shared_storage() {
         let k = key(44);
-        let mut chain = transfer_chain(&k, 3, 32);
+        let mut chain = transfer_chain(&k, 3);
         let snapshot = chain.clone();
         let tx = Transaction::transfer(k.address(), key(99).address(), 1, 3).signed(&k);
         let b = chain.build_candidate(k.address(), vec![tx], 100_000, &mut NullRuntime);

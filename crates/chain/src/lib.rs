@@ -57,6 +57,6 @@ pub use mempool::{Mempool, MempoolError};
 pub use receipt::{ExecStatus, LogEntry, Receipt};
 pub use retarget::{simulate_cadence, DifficultyController, RetargetRule};
 pub use runtime::{CallContext, ContractRuntime, ExecOutcome, NullRuntime};
-pub use state::{Account, State, StateDelta, StateError};
+pub use state::{Account, State, StateError};
 pub use store::{ChainStore, SigCache, StoreCounters, StoreLimits};
 pub use tx::{contract_address, Transaction, TxError};

@@ -5,7 +5,8 @@
 //! blockchain performance, especially in the usage of blockchain-based FL
 //! where the number of participants is flexible". Their RL agent is not
 //! reproducible offline, so this module implements the controller family it
-//! approximates (see DESIGN.md's substitution table):
+//! approximates: rules that set the next difficulty from recent block
+//! intervals, as the agent does from its observations:
 //!
 //! * [`RetargetRule::Homestead`] — Ethereum's fixed-step rule (the control
 //!   arm; identical math to [`pow::next_difficulty`]);

@@ -31,24 +31,6 @@ pub struct State {
     storage: BTreeMap<H160, BTreeMap<H256, H256>>,
 }
 
-/// One block's structural change set against its parent state: the chain
-/// store keeps these instead of full per-block state clones, materializing a
-/// historical state by replaying deltas forward from the nearest snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StateDelta {
-    /// Accounts written by the block; `None` marks a removed account.
-    pub accounts: BTreeMap<H160, Option<Account>>,
-    /// Storage slots written by the block; a zero value clears the slot.
-    pub storage: BTreeMap<H160, BTreeMap<H256, H256>>,
-}
-
-impl StateDelta {
-    /// Whether the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.accounts.is_empty() && self.storage.is_empty()
-    }
-}
-
 /// Error applying a state change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateError {
@@ -194,70 +176,6 @@ impl State {
             .unwrap_or_default()
     }
 
-    /// The structural diff from `self` to `next`: the per-block change set
-    /// the chain store keeps instead of a full per-block state clone.
-    /// `self.apply(&self.diff(next))` reproduces `next` up to empty storage
-    /// maps (which [`State::root`] ignores).
-    pub fn diff(&self, next: &State) -> StateDelta {
-        let mut delta = StateDelta::default();
-        for (addr, acct) in &next.accounts {
-            if self.accounts.get(addr) != Some(acct) {
-                delta.accounts.insert(*addr, Some(acct.clone()));
-            }
-        }
-        for addr in self.accounts.keys() {
-            if !next.accounts.contains_key(addr) {
-                delta.accounts.insert(*addr, None);
-            }
-        }
-        let empty = BTreeMap::new();
-        for (addr, slots) in &next.storage {
-            let old = self.storage.get(addr).unwrap_or(&empty);
-            let mut changed = BTreeMap::new();
-            for (k, v) in slots {
-                if old.get(k) != Some(v) {
-                    changed.insert(*k, *v);
-                }
-            }
-            for k in old.keys() {
-                if !slots.contains_key(k) {
-                    changed.insert(*k, H256::zero());
-                }
-            }
-            if !changed.is_empty() {
-                delta.storage.insert(*addr, changed);
-            }
-        }
-        for (addr, old) in &self.storage {
-            if !next.storage.contains_key(addr) && !old.is_empty() {
-                delta
-                    .storage
-                    .insert(*addr, old.keys().map(|k| (*k, H256::zero())).collect());
-            }
-        }
-        delta
-    }
-
-    /// Applies a diff produced by [`State::diff`], replaying one block's
-    /// change set on top of its parent state.
-    pub fn apply(&mut self, delta: &StateDelta) {
-        for (addr, acct) in &delta.accounts {
-            match acct {
-                Some(a) => {
-                    self.accounts.insert(*addr, a.clone());
-                }
-                None => {
-                    self.accounts.remove(addr);
-                }
-            }
-        }
-        for (addr, slots) in &delta.storage {
-            for (k, v) in slots {
-                self.storage_set(*addr, *k, *v);
-            }
-        }
-    }
-
     /// Deterministic digest of the whole state (accounts and storage in
     /// canonical order) — the header's `state_root`.
     pub fn root(&self) -> H256 {
@@ -381,59 +299,6 @@ mod tests {
         t.credit(addr(1), 1);
         t.storage_set(addr(1), H256::zero(), blockfed_crypto::sha256::sha256(b"x"));
         assert_eq!(t.root(), r2);
-    }
-
-    #[test]
-    fn diff_apply_roundtrip_reproduces_root() {
-        let mut base = State::new();
-        base.credit(addr(1), 100);
-        base.credit(addr(2), 40);
-        let k1 = blockfed_crypto::sha256::sha256(b"k1");
-        let k2 = blockfed_crypto::sha256::sha256(b"k2");
-        base.storage_set(addr(1), k1, blockfed_crypto::sha256::sha256(b"v1"));
-        base.storage_set(addr(1), k2, blockfed_crypto::sha256::sha256(b"v2"));
-        base.set_code(addr(3), vec![0xAA]);
-
-        let mut next = base.clone();
-        next.transfer(addr(1), addr(2), 25).unwrap();
-        next.consume_nonce(addr(1), 0).unwrap();
-        next.storage_set(addr(1), k1, H256::zero()); // slot cleared
-        next.storage_set(addr(2), k2, blockfed_crypto::sha256::sha256(b"v3"));
-        next.accounts.remove(&addr(3)); // account removed outright
-
-        let delta = base.diff(&next);
-        assert!(!delta.is_empty());
-        assert_eq!(delta.accounts.get(&addr(3)), Some(&None));
-        let mut replayed = base.clone();
-        replayed.apply(&delta);
-        assert_eq!(replayed.root(), next.root());
-        assert_eq!(replayed.balance(&addr(2)), 65);
-        assert!(replayed.storage_get(&addr(1), &k1).is_zero());
-    }
-
-    #[test]
-    fn empty_diff_for_identical_states() {
-        let mut s = State::new();
-        s.credit(addr(1), 9);
-        let delta = s.diff(&s.clone());
-        assert!(delta.is_empty());
-        let before = s.root();
-        s.apply(&delta);
-        assert_eq!(s.root(), before);
-    }
-
-    #[test]
-    fn diff_handles_whole_storage_map_disappearing() {
-        let k = blockfed_crypto::sha256::sha256(b"slot");
-        let mut base = State::new();
-        base.storage_set(addr(1), k, blockfed_crypto::sha256::sha256(b"v"));
-        let mut next = base.clone();
-        next.storage.remove(&addr(1));
-        let delta = base.diff(&next);
-        let mut replayed = base.clone();
-        replayed.apply(&delta);
-        assert_eq!(replayed.root(), next.root());
-        assert!(replayed.storage_get(&addr(1), &k).is_zero());
     }
 
     #[test]

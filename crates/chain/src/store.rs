@@ -11,6 +11,8 @@
 //!
 //! * one handle is shared by every chain of one run (the orchestrator clones
 //!   it into each peer's [`crate::Blockchain`] and [`crate::Mempool`]);
+//! * a chain keeps each block's post-state as the `Arc<State>` the execution
+//!   memo holds, so the run's peers share one state per block;
 //! * dropping the last handle frees everything — nothing outlives the run;
 //! * entries are **epoch-scoped**: [`ChainStore::begin_epoch`] advances the
 //!   store's epoch and evicts entries not touched within
@@ -20,7 +22,8 @@
 //! * hard caps ([`StoreLimits::max_exec_entries`],
 //!   [`StoreLimits::max_sig_entries`]) bound growth *within* an epoch — on
 //!   overflow the map is flushed wholesale, a deterministic policy (the memo
-//!   is a pure cache: a miss only costs re-execution).
+//!   is a pure cache: a miss only costs re-execution). A flush frees no
+//!   state a chain still holds.
 //!
 //! Soundness is inherited from the keys. An execution entry is keyed by
 //! `(block hash, runtime execution fingerprint)`: the block hash commits to
@@ -40,7 +43,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use blockfed_crypto::H256;
 
 use crate::receipt::Receipt;
-use crate::state::{State, StateDelta};
+use crate::state::State;
 
 /// Capacity and retention policy of a [`ChainStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,9 +106,9 @@ impl StoreCounters {
     }
 }
 
-/// A memoized block execution: the post-state, the receipts, and the diff
-/// against the parent state (so memo hits never re-diff).
-pub(crate) type ExecEntry = (Arc<State>, Arc<Vec<Receipt>>, Arc<StateDelta>);
+/// A memoized block execution: the post-state and the receipts. Every chain
+/// sharing the store keeps this same `Arc<State>` as the block's state.
+pub(crate) type ExecEntry = (Arc<State>, Arc<Vec<Receipt>>);
 
 struct ExecSlot {
     entry: ExecEntry,
@@ -392,11 +395,7 @@ mod tests {
     }
 
     fn entry() -> ExecEntry {
-        (
-            Arc::new(State::new()),
-            Arc::new(Vec::new()),
-            Arc::new(StateDelta::default()),
-        )
+        (Arc::new(State::new()), Arc::new(Vec::new()))
     }
 
     #[test]

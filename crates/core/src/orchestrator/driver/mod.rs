@@ -206,13 +206,7 @@ impl<'a> Run<'a> {
         let peers: Vec<Peer> = keys
             .into_iter()
             .map(|key| {
-                let mut chain = Blockchain::with_store(&spec, SealPolicy::Simulated, store.clone());
-                if let Some(interval) = cfg.snapshot_interval {
-                    chain = chain.with_snapshot_interval(interval);
-                }
-                if let Some(depth) = cfg.prune_depth {
-                    chain = chain.with_prune_depth(depth);
-                }
+                let chain = Blockchain::with_store(&spec, SealPolicy::Simulated, store.clone());
                 Peer {
                     node: Node::new(key, chain, &store),
                     current_round: 1,

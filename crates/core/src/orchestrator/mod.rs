@@ -27,9 +27,10 @@
 //!
 //! The orchestrator does three jobs, one private submodule each:
 //!
-//! * `node` — a peer's chain view: key, chain, mempool, runtime, artifacts
-//!   held, orphan import, and the head-and-round-keyed memo of its confirmed
-//!   submissions and aggregate records;
+//! * `node` — a peer's chain view: key, chain (each block's state shared with
+//!   every other peer through the run's [`ChainStore`]), mempool, runtime,
+//!   artifacts held, orphan import, and the head-and-round-keyed memo of its
+//!   confirmed submissions and aggregate records;
 //! * `round` — the round algorithm: per-round policy, screening gates,
 //!   staleness re-weighting, tier-1 committee aggregation and the tier-2
 //!   merge, all as functions of a node that return values;
@@ -202,14 +203,6 @@ pub struct DecentralizedConfig {
     /// [`ChainStore::begin_epoch`] at run start, so entries untouched for a
     /// full run age out instead of accumulating.
     pub store: Option<ChainStore>,
-    /// State-snapshot cadence of every peer's chain (see
-    /// [`Blockchain::with_snapshot_interval`]). `None` keeps the chain's
-    /// default interval. Part of the store configuration, so two otherwise
-    /// identical runs differing only here are distinct configurations.
-    pub snapshot_interval: Option<u64>,
-    /// Opt-in state pruning depth of every peer's chain (see
-    /// [`Blockchain::with_prune_depth`]). `None` disables pruning.
-    pub prune_depth: Option<u64>,
     /// Optional adaptive policy controller (see [`ControllerSpec`]): observes
     /// each round's wait time, staleness, fork rate, straggler spread, and
     /// accuracy delta and may switch the wait policy, aggregation strategy,
@@ -250,8 +243,6 @@ impl Default for DecentralizedConfig {
             watchdog: Some(SimDuration::from_secs(600)),
             strategy_switch: None,
             store: None,
-            snapshot_interval: None,
-            prune_depth: None,
             controller: None,
             seed: 42,
         }
@@ -757,8 +748,6 @@ mod tests {
             watchdog: Some(SimDuration::from_secs(600)),
             strategy_switch: None,
             store: None,
-            snapshot_interval: None,
-            prune_depth: None,
             controller: None,
             committees: None,
             seed,

@@ -4,7 +4,8 @@
 //! [`SynthCifar`] — a seeded 10-class generator engineered to preserve the two
 //! properties the paper's evaluation actually depends on: a capacity gap
 //! between simple and complex models, and client heterogeneity under
-//! federated partitioning (see `DESIGN.md` for the substitution argument).
+//! federated partitioning. The paper compares waiting policies against each
+//! other, so these two properties, not CIFAR-10's pixels, carry its results.
 //!
 //! # Examples
 //!

@@ -438,16 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn dedup_key_covers_store_and_controller_fields() {
+    fn dedup_key_covers_controller_committee_and_gossip_fields() {
         // Regression: the matrix dedup keys on *spec equality*. Cells that
-        // differ only in snapshot_interval, prune_depth, the controller, the
-        // committee layout, or the gossip mode would be silently merged if
-        // any of those fields escaped PartialEq — each must keep the pair
-        // distinct.
+        // differ only in the controller, the committee layout, or the gossip
+        // mode would be silently merged if any of those fields escaped
+        // PartialEq — each must keep the pair distinct.
         let base = ScenarioSpec::new("key", 3).rounds(1);
         let variants = [
-            base.clone().snapshot_interval(2),
-            base.clone().prune_depth(4),
             base.clone()
                 .controller(blockfed_core::ControllerSpec::noop()),
             base.clone()

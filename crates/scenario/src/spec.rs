@@ -168,13 +168,6 @@ pub struct ScenarioSpec {
     /// this long, it fails fast with a diagnostic instead of hanging (see
     /// [`DecentralizedConfig::watchdog`]). `None` disables the monitor.
     pub watchdog: Option<SimDuration>,
-    /// State-snapshot cadence of every peer's chain (`None` keeps the
-    /// default). Store configuration is part of spec identity: two cells
-    /// differing only here are distinct and never deduplicated.
-    pub snapshot_interval: Option<u64>,
-    /// Opt-in state-pruning depth of every peer's chain (`None` disables).
-    /// Part of spec identity, like [`ScenarioSpec::snapshot_interval`].
-    pub prune_depth: Option<u64>,
     /// Optional adaptive policy controller: observes each round's wait time,
     /// staleness, fork rate, straggler spread, and accuracy delta and may
     /// switch wait policy / strategy / staleness decay at round boundaries
@@ -244,8 +237,6 @@ impl ScenarioSpec {
             adversaries: Vec::new(),
             timeline: Vec::new(),
             watchdog: Some(SimDuration::from_secs(600)),
-            snapshot_interval: None,
-            prune_depth: None,
             controller: None,
             committees: None,
             data,
@@ -258,8 +249,9 @@ impl ScenarioSpec {
     /// The paper-scale cell preset: `peers` peers training the paper's
     /// ~62 K-parameter [`SimpleNnConfig::paper`] SimpleNN on the full
     /// SynthCifar generator ([`DataSpec::paper`]) through the batch-parallel
-    /// loop — the one definition behind both the `--paper` CI cell and the
-    /// thread-sweep equivalence suite, so they can never drift apart.
+    /// loop — the one definition behind both the `paper3` benchmark
+    /// workload and the paper-scale cell of `tests/train_equivalence.rs`, so
+    /// they can never drift apart.
     pub fn paper_cell(name: impl Into<String>, peers: usize) -> Self {
         ScenarioSpec::new(name, peers)
             .rounds(2)
@@ -462,22 +454,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn no_watchdog(mut self) -> Self {
         self.watchdog = None;
-        self
-    }
-
-    /// Sets the state-snapshot cadence of every peer's chain (see
-    /// [`ScenarioSpec::snapshot_interval`]).
-    #[must_use]
-    pub fn snapshot_interval(mut self, interval: u64) -> Self {
-        self.snapshot_interval = Some(interval);
-        self
-    }
-
-    /// Enables state pruning at `depth` blocks behind every peer's head (see
-    /// [`ScenarioSpec::prune_depth`]).
-    #[must_use]
-    pub fn prune_depth(mut self, depth: u64) -> Self {
-        self.prune_depth = Some(depth);
         self
     }
 
@@ -717,8 +693,6 @@ impl ScenarioSpec {
             faults: self.timeline.clone(),
             retarget: self.retarget,
             watchdog: self.watchdog,
-            snapshot_interval: self.snapshot_interval,
-            prune_depth: self.prune_depth,
             controller: self.controller.clone(),
             committees: self.committees,
             store: None,

@@ -130,8 +130,8 @@ mod tests {
     }
 
     /// The same "counter" behaviour implemented (a) as MiniVM bytecode and
-    /// (b) directly against storage must agree — the semantic cross-check
-    /// described in DESIGN.md.
+    /// (b) directly against storage must agree — the check that bytecode and
+    /// native contracts share one storage semantics.
     #[test]
     fn minivm_counter_matches_native_semantics() {
         // Counter: slot 0 += calldata[0..32] (as a word); returns new value.

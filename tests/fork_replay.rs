@@ -3,8 +3,8 @@
 //! canonical hashes, same per-block state roots and receipts — with the
 //! suffix served from the shared [`ChainStore`] execution memo instead of
 //! being re-executed. Verified both on a bare transfer chain (property test
-//! over fork points and snapshot intervals) and on the canonical chain a
-//! full decentralized run produced under a chaos fault timeline.
+//! over chain lengths and fork points) and on the canonical chain a full
+//! decentralized run produced under a chaos fault timeline.
 
 use blockfed::chain::{Blockchain, ChainStore, GenesisSpec, NullRuntime, SealPolicy, Transaction};
 use blockfed::core::{
@@ -19,12 +19,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A straight-line chain of `blocks` self-transfers over one funded account.
-fn transfer_chain(store: ChainStore, snapshot_interval: u64, blocks: u64) -> Blockchain {
+fn transfer_chain(store: ChainStore, blocks: u64) -> Blockchain {
     let mut rng = StdRng::seed_from_u64(7);
     let key = KeyPair::generate(&mut rng);
     let spec = GenesisSpec::with_accounts(&[key.address()], 1_000_000).with_difficulty(1);
-    let mut chain = Blockchain::with_store(&spec, SealPolicy::Simulated, store)
-        .with_snapshot_interval(snapshot_interval);
+    let mut chain = Blockchain::with_store(&spec, SealPolicy::Simulated, store);
     for nonce in 0..blocks {
         let tx = Transaction::transfer(key.address(), key.address(), 1, nonce).signed(&key);
         let block = chain.build_candidate(
@@ -68,18 +67,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Forking at block `k` and replaying the suffix yields a chain
-    /// bit-identical to the straight-line run, at any snapshot interval and
-    /// fork point — and the replay never re-executes a block (the shared
-    /// store serves every import from the memo).
+    /// bit-identical to the straight-line run, at any chain length and fork
+    /// point — and the replay never re-executes a block (the shared store
+    /// serves every import from the memo).
     #[test]
     fn fork_and_replay_is_bit_identical(
         blocks in 3u64..10,
         k in 0u64..9,
-        snapshot_interval in 1u64..5,
     ) {
         let k = k.min(blocks - 1);
         let store = ChainStore::new();
-        let chain = transfer_chain(store.clone(), snapshot_interval, blocks);
+        let chain = transfer_chain(store.clone(), blocks);
         let canon = chain.canonical_chain();
         let fork_point = canon[k as usize];
         let mut fork = chain.fork_at(&fork_point).expect("fork point is on-chain");
