@@ -3,25 +3,19 @@
 //! asynchronous communication is another intriguing question we aim to
 //! explore for optimal values".
 //!
-//! Three sub-studies (the on-chain arms are declarative
-//! `blockfed-scenario` specs lowered via [`crate::decentralized_scenario`]):
+//! Two sub-studies (the on-chain arm is a declarative `blockfed-scenario`
+//! spec lowered via [`crate::decentralized_scenario`]):
 //!
 //! 1. **Wait-for-k on chain** (heterogeneous compute, one straggler) — the
 //!    fully coupled system at `k ∈ {all, 2, 1}`: per-round aggregation wait,
 //!    the age-of-block freshness of what gets aggregated, and final accuracy.
-//! 2. **Full asynchrony** — the FedAsync-style driver sweeping the mixing
-//!    rate α and the staleness decay; reports final accuracy and mean
-//!    staleness, mapping where "no waiting at all" lands on the same
-//!    speed-precision frontier.
-//! 3. **Aggregation size** — at fixed synchrony, how many models should
+//! 2. **Aggregation size** — at fixed synchrony, how many models should
 //!    enter the aggregate at all: [`Strategy::BestK`] (the k best standalone
 //!    models, linear cost) vs everything vs the exponential "consider"
 //!    search, for both of the paper's models.
 
-use blockfed_fl::{AsyncFl, AsyncFlConfig, StalenessDecay, Strategy, WaitPolicy};
+use blockfed_fl::{Strategy, WaitPolicy};
 use blockfed_report::{fmt_acc, Table};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::{
     decentralized_run_with_computes, straggler_profiles, vanilla_run, ModelSel, PreparedData,
@@ -44,19 +38,6 @@ pub struct WaitKRow {
     pub mean_updates_used: f64,
 }
 
-/// One row of the full-asynchrony sub-study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlphaRow {
-    /// FedAsync base mixing rate.
-    pub alpha: f64,
-    /// Staleness decay in force.
-    pub decay: StalenessDecay,
-    /// Final global accuracy.
-    pub final_accuracy: f64,
-    /// Mean staleness across merges (in server versions).
-    pub mean_staleness: f64,
-}
-
 /// One row of the best-k aggregation-size sub-study.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BestKRow {
@@ -72,19 +53,15 @@ pub struct BestKRow {
 pub struct AsyncOptOutput {
     /// Rendered wait-for-k table.
     pub waitk_table: Table,
-    /// Rendered α × decay table.
-    pub alpha_table: Table,
     /// Rendered best-k aggregation-size table.
     pub bestk_table: Table,
     /// Raw wait-for-k rows.
     pub waitk_rows: Vec<WaitKRow>,
-    /// Raw α × decay rows.
-    pub alpha_rows: Vec<AlphaRow>,
     /// Raw best-k rows.
     pub bestk_rows: Vec<BestKRow>,
 }
 
-/// Runs all three sub-studies (1 and 2 on SimpleNN; 3 on both models).
+/// Runs both sub-studies (1 on SimpleNN; 2 on both models).
 pub fn run_asyncopt(data: &PreparedData) -> AsyncOptOutput {
     let sel = ModelSel::Simple;
 
@@ -115,7 +92,7 @@ pub fn run_asyncopt(data: &PreparedData) -> AsyncOptOutput {
         });
     }
     let mut waitk_table = Table::new(
-        "Async optimum (1/3) — wait-for-k under a straggler: freshness vs accuracy",
+        "Async optimum (1/2) — wait-for-k under a straggler: freshness vs accuracy",
         &[
             "Policy",
             "Final acc",
@@ -136,56 +113,7 @@ pub fn run_asyncopt(data: &PreparedData) -> AsyncOptOutput {
         ]);
     }
 
-    // --- sub-study 2: full asynchrony (α × decay) -------------------------
-    let p = &data.profile;
-    let total_merges = (p.rounds * 3).max(12);
-    let decays = [
-        StalenessDecay::Constant,
-        StalenessDecay::Polynomial { a: 0.5 },
-        StalenessDecay::Polynomial { a: 1.0 },
-    ];
-    let mut alpha_rows = Vec::new();
-    for &alpha in &[0.3, 0.6, 0.9] {
-        for &decay in &decays {
-            let config = AsyncFlConfig {
-                total_merges,
-                local_epochs: p.local_epochs,
-                batch_size: p.batch_size,
-                lr: data.lr(sel),
-                momentum: p.momentum,
-                alpha,
-                decay,
-                // Mirror the straggler compute spread of sub-study 1.
-                client_speeds: vec![11.0, 7.0, 1.0],
-                eval_every: total_merges,
-                batch_parallel: p.batch_parallel,
-            };
-            let driver = AsyncFl::new(config, data.shards(sel), data.test(sel));
-            let mut factory = data.model_factory(sel);
-            let mut rng = StdRng::seed_from_u64(p.seed ^ 0xA57);
-            let run = driver.run(&mut *factory, &mut rng);
-            alpha_rows.push(AlphaRow {
-                alpha,
-                decay,
-                final_accuracy: run.final_accuracy,
-                mean_staleness: run.mean_staleness(),
-            });
-        }
-    }
-    let mut alpha_table = Table::new(
-        "Async optimum (2/3) — FedAsync α × staleness decay (no waiting at all)",
-        &["Alpha", "Decay", "Final acc", "Mean staleness"],
-    );
-    for r in &alpha_rows {
-        alpha_table.row_owned(vec![
-            format!("{:.1}", r.alpha),
-            r.decay.to_string(),
-            fmt_acc(r.final_accuracy),
-            format!("{:.2}", r.mean_staleness),
-        ]);
-    }
-
-    // --- sub-study 3: how many models should enter the aggregate? ---------
+    // --- sub-study 2: how many models should enter the aggregate? ---------
     // The same "arbitrary number of local updates" question at the
     // aggregation level: BestK(k) averages the k best standalone models at
     // linear cost; Consider is the exponential search; NotConsider is all.
@@ -206,7 +134,7 @@ pub fn run_asyncopt(data: &PreparedData) -> AsyncOptOutput {
         }
     }
     let mut bestk_table = Table::new(
-        "Async optimum (3/3) — aggregation size: best-k vs all vs full search",
+        "Async optimum (2/2) — aggregation size: best-k vs all vs full search",
         &["Model", "Strategy", "Final acc"],
     );
     for r in &bestk_rows {
@@ -219,10 +147,8 @@ pub fn run_asyncopt(data: &PreparedData) -> AsyncOptOutput {
 
     AsyncOptOutput {
         waitk_table,
-        alpha_table,
         bestk_table,
         waitk_rows,
-        alpha_rows,
         bestk_rows,
     }
 }
@@ -237,7 +163,6 @@ mod tests {
         let data = prepare(Profile::tiny());
         let out = run_asyncopt(&data);
         assert_eq!(out.waitk_rows.len(), 3);
-        assert_eq!(out.alpha_rows.len(), 9);
         // 2 models × {best-1, best-2, all, consider}.
         assert_eq!(out.bestk_rows.len(), 8);
         for r in &out.bestk_rows {
@@ -249,11 +174,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&r.final_accuracy));
             assert!(r.age_max_secs >= r.age_mean_secs);
             assert!(r.mean_updates_used >= 1.0);
-        }
-        // The straggler speed spread must induce staleness somewhere.
-        assert!(out.alpha_rows.iter().any(|r| r.mean_staleness > 0.5));
-        for r in &out.alpha_rows {
-            assert!((0.0..=1.0).contains(&r.final_accuracy));
         }
     }
 

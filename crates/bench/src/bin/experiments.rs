@@ -3,21 +3,40 @@
 //! ```text
 //! cargo run --release -p blockfed-bench --bin experiments -- <id> [--full] [--seed N]
 //!
-//! ids: table1 fig3 table2 table3 table4 fig4 tradeoff chainperf contention all
+//! ids: table1 fig3 table2 table3 table4 fig4 tradeoff chainperf contention
+//!      poisoning asyncopt sweep all
 //! ```
+//!
+//! `all` runs every id except `sweep`. An unknown id prints the usage line
+//! and exits with status 2.
 //!
 //! Text tables and ASCII figures go to stdout; CSVs land in `results/`.
 
 use blockfed_bench::{
-    prepare, run_asyncopt, run_chainperf, run_contention, run_poisoning, run_retarget,
-    run_robustness, run_table1, run_tables234, run_tradeoff, run_tradeoff_sweep, Profile,
+    prepare, run_asyncopt, run_chainperf, run_contention, run_poisoning, run_table1, run_tables234,
+    run_tradeoff, run_tradeoff_sweep, Profile,
 };
 use blockfed_report::write_csv;
 
+/// Every experiment id the binary accepts.
+const IDS: [&str; 13] = [
+    "table1",
+    "fig3",
+    "table2",
+    "table3",
+    "table4",
+    "fig4",
+    "tradeoff",
+    "chainperf",
+    "contention",
+    "poisoning",
+    "asyncopt",
+    "sweep",
+    "all",
+];
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: experiments <table1|fig3|table2|table3|table4|fig4|tradeoff|chainperf|contention|poisoning|robustness|asyncopt|retarget|sweep|all> [--full] [--seed N]"
-    );
+    eprintln!("usage: experiments <{}> [--full] [--seed N]", IDS.join("|"));
     std::process::exit(2);
 }
 
@@ -44,6 +63,9 @@ fn main() {
         i += 1;
     }
     let id = id.unwrap_or_else(|| "all".to_owned());
+    if !IDS.contains(&id.as_str()) {
+        usage();
+    }
     let mut profile = if full {
         Profile::full()
     } else {
@@ -55,21 +77,9 @@ fn main() {
     println!("profile: {} (seed {})", profile.name, profile.seed);
 
     let results_dir = "results";
-    let needs_data = matches!(
-        id.as_str(),
-        "table1"
-            | "fig3"
-            | "table2"
-            | "table3"
-            | "table4"
-            | "fig4"
-            | "tradeoff"
-            | "contention"
-            | "poisoning"
-            | "robustness"
-            | "asyncopt"
-            | "all"
-    );
+    // Every id but these two trains on the prepared data (`sweep` prepares
+    // its own per seed).
+    let needs_data = !matches!(id.as_str(), "chainperf" | "sweep");
     let data = if needs_data {
         println!("preparing data (generate, partition, pretrain backbone)…");
         Some(prepare(profile.clone()))
@@ -156,35 +166,15 @@ fn main() {
         println!("wrote {}", path.display());
     }
 
-    if want("robustness") {
-        let data = data.as_ref().expect("prepared");
-        println!("running the robust-aggregation baseline comparison (6 clients)…");
-        let out = run_robustness(data);
-        println!("{}", out.table);
-        let path = write_csv(results_dir, "robustness", &out.table).expect("write csv");
-        println!("wrote {}", path.display());
-    }
-
     if want("asyncopt") {
         let data = data.as_ref().expect("prepared");
-        println!("running the asynchronous-optimum study (wait-k + FedAsync α×decay)…");
+        println!("running the asynchronous-optimum study (wait-k + aggregation size)…");
         let out = run_asyncopt(data);
         println!("{}", out.waitk_table);
-        println!("{}", out.alpha_table);
         println!("{}", out.bestk_table);
         let path = write_csv(results_dir, "asyncopt_waitk", &out.waitk_table).expect("write csv");
         println!("wrote {}", path.display());
-        let path = write_csv(results_dir, "asyncopt_alpha", &out.alpha_table).expect("write csv");
-        println!("wrote {}", path.display());
         let path = write_csv(results_dir, "asyncopt_bestk", &out.bestk_table).expect("write csv");
-        println!("wrote {}", path.display());
-    }
-
-    if want("retarget") {
-        println!("running the adaptive-difficulty retarget ablation…");
-        let out = run_retarget(profile.seed);
-        println!("{}", out.table);
-        let path = write_csv(results_dir, "retarget", &out.table).expect("write csv");
         println!("wrote {}", path.display());
     }
 

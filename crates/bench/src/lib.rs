@@ -5,12 +5,10 @@
 
 pub mod asyncopt;
 pub mod poisoning;
-pub mod retarget_study;
 pub mod sweep;
 
 pub use asyncopt::{run_asyncopt, AsyncOptOutput};
-pub use poisoning::{run_poisoning, run_robustness, PoisoningOutput, RobustnessOutput};
-pub use retarget_study::{run_retarget, RetargetOutput};
+pub use poisoning::{run_poisoning, PoisoningOutput};
 pub use sweep::{run_tradeoff_sweep, SweepOutput};
 
 use blockfed_core::{ComputeProfile, DecentralizedConfig, DecentralizedRun};

@@ -2,29 +2,18 @@
 //! "deploying and evaluating the robustness of this method on the
 //! non-repudiation in various poisonous data attacks".
 //!
-//! Two sub-studies:
-//!
-//! 1. **On-chain defence arms** ([`run_poisoning`]): the fully coupled
-//!    decentralized system under one compromised peer mounting each attack,
-//!    with the paper's fitness gate and the statistical norm gate on or off.
-//!    Reports honest-peer accuracy, how often the attacker was detected and
-//!    dropped, and whether the on-chain evidence pins the poisoned artefact
-//!    to its author (non-repudiation).
-//! 2. **Robust-estimator baselines** ([`run_robustness`]): chain-free FL with
-//!    six clients comparing FedAvg against Krum / trimmed-mean / median /
-//!    clipped-mean under the same attacks — the estimator-side defence family
-//!    the paper's combination search is an alternative to.
+//! [`run_poisoning`] runs the fully coupled decentralized system under one
+//! compromised peer mounting each attack, with the paper's fitness gate and
+//! the statistical norm gate on or off. It reports honest-peer accuracy, how
+//! often the attacker was detected and dropped, and whether the on-chain
+//! evidence pins the poisoned artefact to its author (non-repudiation).
 
-use blockfed_data::{partition_dataset, Batcher, Partition};
-use blockfed_fl::robust::RobustRule;
-use blockfed_fl::{Adversary, Attack, ClientId, ModelUpdate, WaitPolicy};
-use blockfed_nn::Sgd;
+use blockfed_fl::{Adversary, Attack, ClientId, WaitPolicy};
 use blockfed_report::{fmt_acc, Table};
-use blockfed_sim::RngHub;
 
 use crate::{decentralized_scenario, ModelSel, PreparedData};
 
-/// The attack suite swept by both sub-studies.
+/// The attack suite swept by [`run_poisoning`].
 pub fn attack_suite() -> Vec<Attack> {
     vec![
         Attack::Scale { factor: 50.0 },
@@ -152,147 +141,6 @@ fn poisoning_arm(data: &PreparedData, attack: Attack, defended: bool) -> Poisoni
     }
 }
 
-/// One row of the robust-estimator study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustnessRow {
-    /// The aggregation rule.
-    pub rule: RobustRule,
-    /// The attack mounted by one of six clients (`None` = no attack).
-    pub attack: Option<Attack>,
-    /// Final global accuracy on the held-out test set.
-    pub final_accuracy: f64,
-    /// Whether training collapsed before the last round: a poisoned global
-    /// drove *every* client's subsequent local training to non-finite
-    /// parameters, so no further aggregation was possible (the fate of an
-    /// undefended FedAvg under a strong boosting attack).
-    pub diverged: bool,
-}
-
-/// Output of the robust-estimator study.
-pub struct RobustnessOutput {
-    /// The rendered table.
-    pub table: Table,
-    /// The raw rows.
-    pub rows: Vec<RobustnessRow>,
-}
-
-/// The rule set compared: Krum's `n ≥ 2f+3` needs six clients at `f = 1`.
-pub fn robust_rules() -> Vec<RobustRule> {
-    vec![
-        RobustRule::FedAvg,
-        RobustRule::Krum { f: 1 },
-        RobustRule::MultiKrum { f: 1, m: 3 },
-        RobustRule::TrimmedMean { trim: 1 },
-        RobustRule::Median,
-        RobustRule::ClippedMean { max_norm: 10.0 },
-    ]
-}
-
-/// Chain-free robust-aggregation comparison: six clients, client 0 poisoned,
-/// every rule × every attack (plus a clean control), SimpleNN.
-pub fn run_robustness(data: &PreparedData) -> RobustnessOutput {
-    let p = &data.profile;
-    let hub = RngHub::new(p.seed ^ 0xB0B);
-    let mut part_rng = hub.stream("robust-partition");
-    // Re-partition the training pool across six clients.
-    let merged = {
-        let mut all = data.train_shards[0].clone();
-        for s in &data.train_shards[1..] {
-            all = all.concat(s);
-        }
-        all
-    };
-    let shards = partition_dataset(
-        &merged,
-        6,
-        Partition::DirichletLabelSkew { alpha: p.alpha },
-        &mut part_rng,
-    );
-    let test = data.test(ModelSel::Simple);
-    let batcher = Batcher::new(p.batch_size);
-    let rounds = p.rounds.min(5);
-
-    let mut attacks: Vec<Option<Attack>> = vec![None];
-    attacks.extend(attack_suite().into_iter().map(Some));
-
-    let mut rows = Vec::new();
-    for rule in robust_rules() {
-        for attack in &attacks {
-            let mut factory = data.model_factory(ModelSel::Simple);
-            let mut global = factory();
-            let mut global_params = global.params_flat();
-            let mut train_rng = hub.indexed_stream("robust-train", rows.len() as u64);
-            let mut attack_rng = hub.indexed_stream("robust-attack", rows.len() as u64);
-            let mut diverged = false;
-            for round in 1..=rounds {
-                let mut updates = Vec::with_capacity(shards.len());
-                for (i, shard) in shards.iter().enumerate() {
-                    let mut model = factory();
-                    model.set_params_flat(&global_params);
-                    let mut opt = Sgd::new(data.lr(ModelSel::Simple), p.momentum);
-                    model.train_epochs_maybe_par(
-                        p.batch_parallel,
-                        shard,
-                        p.local_epochs,
-                        &batcher,
-                        &mut opt,
-                        &mut train_rng,
-                    );
-                    let mut update =
-                        ModelUpdate::new(ClientId(i), round, model.params_flat(), shard.len());
-                    if i == 0 {
-                        if let Some(a) = attack {
-                            a.apply(&mut update, &mut attack_rng);
-                        }
-                    }
-                    updates.push(update);
-                }
-                // Malformed updates are screened before estimation, exactly as
-                // the on-chain path does.
-                let finite: Vec<&ModelUpdate> = updates.iter().filter(|u| u.is_finite()).collect();
-                // A sufficiently poisoned global can drive every client's next
-                // training round to NaN (or below a rule's minimum cohort):
-                // record the collapse instead of pretending the run finished.
-                match rule.apply(&finite) {
-                    Ok(next) if next.iter().all(|p| p.is_finite()) => global_params = next,
-                    _ => {
-                        diverged = true;
-                        break;
-                    }
-                }
-            }
-            global.set_params_flat(&global_params);
-            let final_accuracy = global.evaluate(test).accuracy;
-            rows.push(RobustnessRow {
-                rule,
-                attack: attack.clone(),
-                final_accuracy,
-                diverged,
-            });
-        }
-    }
-
-    let mut table = Table::new(
-        "Robust aggregation — six clients, client 0 poisoned",
-        &["Rule", "Attack", "Final acc", "Diverged"],
-    );
-    for r in &rows {
-        table.row_owned(vec![
-            r.rule.to_string(),
-            r.attack
-                .as_ref()
-                .map_or("none (clean)".to_string(), ToString::to_string),
-            fmt_acc(r.final_accuracy),
-            if r.diverged {
-                "COLLAPSED".to_string()
-            } else {
-                "-".to_string()
-            },
-        ]);
-    }
-    RobustnessOutput { table, rows }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,41 +181,5 @@ mod tests {
         let scale = Attack::Scale { factor: 50.0 };
         assert!(find(&scale, true).detected_rounds > 0);
         assert_eq!(find(&scale, true).absorbed_rounds, 0);
-    }
-
-    #[test]
-    fn robustness_rules_shield_against_boosting() {
-        let data = prepare(Profile::tiny());
-        let out = run_robustness(&data);
-        // 6 rules × (1 clean + 5 attacks).
-        assert_eq!(out.rows.len(), 36);
-        for r in &out.rows {
-            assert!(
-                (0.0..=1.0).contains(&r.final_accuracy),
-                "{} under {:?}: {}",
-                r.rule,
-                r.attack,
-                r.final_accuracy
-            );
-        }
-        let acc = |rule: RobustRule, attack: &Option<Attack>| {
-            out.rows
-                .iter()
-                .find(|r| r.rule == rule && &r.attack == attack)
-                .expect("row")
-                .final_accuracy
-        };
-        let boost = Some(Attack::Scale { factor: 50.0 });
-        // The robust estimators must beat plain FedAvg under the boost attack.
-        let fedavg = acc(RobustRule::FedAvg, &boost);
-        assert!(acc(RobustRule::Median, &boost) > fedavg, "median {fedavg}");
-        assert!(acc(RobustRule::TrimmedMean { trim: 1 }, &boost) > fedavg);
-        assert!(acc(RobustRule::Krum { f: 1 }, &boost) > fedavg);
-        // And they must never collapse to NaN training (FedAvg may).
-        for r in &out.rows {
-            if r.rule != RobustRule::FedAvg {
-                assert!(!r.diverged, "{} collapsed under {:?}", r.rule, r.attack);
-            }
-        }
     }
 }

@@ -387,33 +387,70 @@ mod tests {
 
     #[test]
     fn adaptive_rules_recover_faster_than_homestead_after_miners_join() {
-        // Hash rate quadruples at block 50 (participants join, à la Peng et
-        // al.'s flexible-membership finding). Measure cadence error over the
-        // 50 blocks after the shock.
-        let base = 100_000.0;
-        let shock = move |b: usize| if b < 50 { base } else { 4.0 * base };
-        let initial = (base * TARGET_S) as u128;
-        let mut errors = Vec::new();
-        for rule in [
-            RetargetRule::Homestead,
-            RetargetRule::MovingAverage { window: 8 },
-            RetargetRule::Pi { kp: 0.3, ki: 0.05 },
-        ] {
-            let mut c = DifficultyController::new(rule, initial);
-            let mut rng = StdRng::seed_from_u64(17);
-            let intervals = simulate_cadence(&mut c, shock, 100, &mut rng);
-            // Mean cadence error after the shock: exponential noise averages
-            // out, leaving the systematic miscalibration each rule failed to
-            // correct.
-            let err = (mean(&intervals[50..]) - TARGET_S).abs() / TARGET_S;
-            errors.push((rule, err));
-        }
-        let homestead_err = errors[0].1;
-        for (rule, err) in &errors[1..] {
-            assert!(
-                *err < homestead_err,
-                "{rule} err {err} not better than homestead {homestead_err}"
-            );
+        // Two miner-population shocks (participants join, à la Peng et al.'s
+        // flexible-membership finding), as multiples of a base hash rate:
+        // - join: 4x from block 50; error over the 50 blocks after it;
+        // - join, then leave: 4x over blocks 100-199 and back to base from
+        //   200; error over the last 60 blocks of each phase, so a rule that
+        //   adapts but cannot un-adapt fails the leave phase.
+        // Each case averages its seeds: tail means still carry exponential
+        // noise, while Homestead's failure to adapt is structural.
+        // (hash-rate multiple at block b, base hash rate, blocks,
+        //  [start, end) error windows, seeds)
+        type Case = (
+            fn(usize) -> f64,
+            f64,
+            usize,
+            &'static [(usize, usize)],
+            &'static [u64],
+        );
+        let cases: [Case; 2] = [
+            (
+                |b| if b < 50 { 1.0 } else { 4.0 },
+                100_000.0,
+                100,
+                &[(50, 100)],
+                &[17],
+            ),
+            (
+                |b| if (100..200).contains(&b) { 4.0 } else { 1.0 },
+                240_000.0,
+                300,
+                &[(140, 200), (240, 300)],
+                &[42 ^ 0xD1FF, 43 ^ 0xD1FF, 44 ^ 0xD1FF],
+            ),
+        ];
+        for (shock, base, blocks, windows, seeds) in cases {
+            let initial = (base * TARGET_S) as u128;
+            let mut errors = Vec::new();
+            for rule in [
+                RetargetRule::Homestead,
+                RetargetRule::MovingAverage { window: 8 },
+                RetargetRule::Pi { kp: 0.3, ki: 0.05 },
+            ] {
+                let mut err = 0.0;
+                for &seed in seeds {
+                    let mut c = DifficultyController::new(rule, initial);
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let intervals = simulate_cadence(&mut c, |b| base * shock(b), blocks, &mut rng);
+                    // Mean cadence error after each shock: exponential noise
+                    // averages out, leaving the systematic miscalibration
+                    // each rule failed to correct.
+                    for &(start, end) in windows {
+                        err += (mean(&intervals[start..end]) - TARGET_S).abs()
+                            / TARGET_S
+                            / (windows.len() * seeds.len()) as f64;
+                    }
+                }
+                errors.push((rule, err));
+            }
+            let homestead_err = errors[0].1;
+            for (rule, err) in &errors[1..] {
+                assert!(
+                    *err < homestead_err,
+                    "{rule} err {err} not better than homestead {homestead_err} ({blocks} blocks)"
+                );
+            }
         }
     }
 

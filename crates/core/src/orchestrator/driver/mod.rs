@@ -108,7 +108,6 @@ pub(super) struct Run<'a> {
     train_shards: &'a [Dataset],
     peer_tests: &'a [Dataset],
     make_model: &'a mut dyn FnMut() -> Sequential,
-    update_hook: &'a mut dyn FnMut(&mut ModelUpdate),
     /// The chain store every peer of this run shares (see
     /// [`DecentralizedConfig::store`]): each block is executed and each
     /// signature verified once per run instead of once per peer.
@@ -179,7 +178,6 @@ impl<'a> Run<'a> {
     pub fn new(
         driver: &'a Decentralized<'a>,
         make_model: &'a mut dyn FnMut() -> Sequential,
-        update_hook: &'a mut dyn FnMut(&mut ModelUpdate),
         sink: &'a mut dyn TraceSink,
     ) -> Self {
         let cfg = &driver.config;
@@ -239,7 +237,6 @@ impl<'a> Run<'a> {
             train_shards: driver.train_shards,
             peer_tests: driver.peer_tests,
             make_model,
-            update_hook,
             store,
             store_base,
             peers,
@@ -480,7 +477,6 @@ impl<'a> Run<'a> {
             self.train_shards[peer].len(),
         )
         .with_payload_bytes(cfg.payload_bytes);
-        (self.update_hook)(&mut update);
         for adv in &cfg.adversaries {
             if adv.client == ClientId(peer) && adv.active_in(round) {
                 adv.attack.apply_with_history(

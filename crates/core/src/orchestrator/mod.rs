@@ -645,18 +645,7 @@ impl<'a> Decentralized<'a> {
     /// Runs the experiment. `make_model` builds the shared architecture; the
     /// first instance's initialization seeds every peer's starting point.
     pub fn run(&self, make_model: &mut dyn FnMut() -> Sequential) -> DecentralizedRun {
-        self.run_with_hook(make_model, &mut |_| {})
-    }
-
-    /// Like [`Decentralized::run`] but calls `update_hook` on every local
-    /// update right after training — the failure-injection point for studying
-    /// poisoned or noisy peers in the decentralized setting.
-    pub fn run_with_hook(
-        &self,
-        make_model: &mut dyn FnMut() -> Sequential,
-        update_hook: &mut dyn FnMut(&mut ModelUpdate),
-    ) -> DecentralizedRun {
-        self.run_traced_with_hook(make_model, update_hook, &mut NoopSink)
+        self.run_traced(make_model, &mut NoopSink)
     }
 
     /// Like [`Decentralized::run`] but emits structured telemetry — round /
@@ -670,17 +659,7 @@ impl<'a> Decentralized<'a> {
         make_model: &mut dyn FnMut() -> Sequential,
         sink: &mut dyn TraceSink,
     ) -> DecentralizedRun {
-        self.run_traced_with_hook(make_model, &mut |_| {}, sink)
-    }
-
-    /// The fully general entry point: telemetry sink plus update hook.
-    pub fn run_traced_with_hook(
-        &self,
-        make_model: &mut dyn FnMut() -> Sequential,
-        update_hook: &mut dyn FnMut(&mut ModelUpdate),
-        sink: &mut dyn TraceSink,
-    ) -> DecentralizedRun {
-        let mut run = driver::Run::new(self, make_model, update_hook, sink);
+        let mut run = driver::Run::new(self, make_model, sink);
         run.drive();
         run.finish()
     }
@@ -1026,16 +1005,15 @@ mod tests {
         // Above chance (0.25 on 4 classes): a constant-prediction poisoned
         // model fails the gate, honest models pass within a round or two.
         cfg.fitness_threshold = Some(0.30);
+        // Garbage weights: near-zero accuracy.
+        cfg.adversaries = vec![Adversary::new(
+            ClientId(0),
+            blockfed_fl::Attack::Constant { value: 25.0 },
+        )];
         let driver = Decentralized::new(cfg, &fx.shards, &fx.tests);
         let nn = SimpleNnConfig::tiny(fx.tests[0].feature_dim(), fx.tests[0].num_classes());
         let mut arch_rng = StdRng::seed_from_u64(30);
-        let out = driver.run_with_hook(&mut || nn.build(&mut arch_rng), &mut |u| {
-            if u.client == blockfed_fl::ClientId(0) {
-                for p in &mut u.params {
-                    *p = 25.0; // garbage weights: near-zero accuracy
-                }
-            }
-        });
+        let out = driver.run(&mut || nn.build(&mut arch_rng));
         // Peers B and C must never include A's model in their chosen combo.
         for peer in 1..3 {
             for r in &out.peer_records[peer] {

@@ -79,7 +79,7 @@ pub fn fed_avg(updates: &[&ModelUpdate]) -> Result<Vec<f32>, AggregateError> {
     Ok(weighted_mean(updates, &weights, dim))
 }
 
-/// The shared weighted-mean kernel: coordinates are independent, so the
+/// The weighted-mean kernel: coordinates are independent, so the
 /// output splits into contiguous chunks across the compute pool. Each
 /// coordinate accumulates its updates in slice order regardless of chunking,
 /// so results are bit-identical at every thread count.
@@ -99,30 +99,6 @@ fn weighted_mean(updates: &[&ModelUpdate], weights: &[f64], dim: usize) -> Vec<f
         kernel(0, &mut out);
     }
     out.into_iter().map(|v| v as f32).collect()
-}
-
-/// Unweighted parameter mean (every client counts equally).
-///
-/// # Errors
-///
-/// Same conditions as [`fed_avg`] except zero weights are allowed.
-pub fn fed_avg_unweighted(updates: &[&ModelUpdate]) -> Result<Vec<f32>, AggregateError> {
-    let first = updates.first().ok_or(AggregateError::Empty)?;
-    let dim = first.params.len();
-    for u in updates {
-        if u.params.len() != dim {
-            return Err(AggregateError::ShapeMismatch {
-                expected: dim,
-                got: u.params.len(),
-            });
-        }
-        if !u.is_finite() {
-            return Err(AggregateError::NonFinite);
-        }
-    }
-    let n = updates.len() as f64;
-    let weights = vec![1.0 / n; updates.len()];
-    Ok(weighted_mean(updates, &weights, dim))
 }
 
 #[cfg(test)]
@@ -152,7 +128,6 @@ mod tests {
     fn single_update_is_identity() {
         let a = upd(0, vec![1.5, -2.5, 3.0], 7);
         assert_eq!(fed_avg(&[&a]).unwrap(), a.params);
-        assert_eq!(fed_avg_unweighted(&[&a]).unwrap(), a.params);
     }
 
     #[test]
@@ -173,16 +148,8 @@ mod tests {
     }
 
     #[test]
-    fn unweighted_ignores_sample_counts() {
-        let a = upd(0, vec![0.0], 1);
-        let b = upd(1, vec![10.0], 999);
-        assert_eq!(fed_avg_unweighted(&[&a, &b]).unwrap(), vec![5.0]);
-    }
-
-    #[test]
     fn error_on_empty() {
         assert_eq!(fed_avg(&[]), Err(AggregateError::Empty));
-        assert_eq!(fed_avg_unweighted(&[]), Err(AggregateError::Empty));
     }
 
     #[test]
@@ -203,8 +170,6 @@ mod tests {
         let a = upd(0, vec![1.0], 0);
         let b = upd(1, vec![2.0], 0);
         assert_eq!(fed_avg(&[&a, &b]), Err(AggregateError::ZeroWeight));
-        // Unweighted path accepts zero sample counts.
-        assert_eq!(fed_avg_unweighted(&[&a, &b]).unwrap(), vec![1.5]);
     }
 
     #[test]

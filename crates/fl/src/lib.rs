@@ -20,10 +20,8 @@
 #![warn(missing_docs)]
 
 pub mod async_policy;
-pub mod async_round;
 pub mod attack;
 pub mod fedavg;
-pub mod robust;
 pub mod round;
 pub mod selector;
 pub mod staleness;
@@ -31,12 +29,10 @@ pub mod strategy;
 pub mod update;
 
 pub use async_policy::WaitPolicy;
-pub use async_round::{AsyncFl, AsyncFlConfig, AsyncFlRun, MergeRecord};
 pub use attack::{Adversary, Attack};
-pub use fedavg::{fed_avg, fed_avg_unweighted, AggregateError};
-pub use robust::{RobustError, RobustRule};
+pub use fedavg::{fed_avg, AggregateError};
 pub use round::{RoundRecord, VanillaFl, VanillaFlConfig, VanillaRun};
-pub use selector::{all_combinations, threshold_filter, Combination};
-pub use staleness::{AgeOfBlock, AsyncMerger, MergeError, StalenessDecay};
+pub use selector::{all_combinations, Combination};
+pub use staleness::{AgeOfBlock, StalenessDecay};
 pub use strategy::{aggregate, aggregate_with, AggregationOutcome, CandidateEvaluator, Strategy};
 pub use update::{ClientId, ModelUpdate};

@@ -5,7 +5,7 @@
 //! will then include that model in their aggregation process; otherwise, it will
 //! be ignored."
 
-use crate::update::{ClientId, ModelUpdate};
+use crate::update::ClientId;
 
 /// A subset of clients whose models are aggregated together.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -109,27 +109,6 @@ pub fn all_combinations(clients: &[ClientId]) -> Vec<Combination> {
     out
 }
 
-/// Filters updates by a fitness threshold: keep those whose standalone
-/// evaluation (via `fitness`) reaches `threshold`.
-///
-/// Returns `(kept, rejected)` so rejections can be audited on chain.
-pub fn threshold_filter<'a>(
-    updates: &[&'a ModelUpdate],
-    threshold: f64,
-    mut fitness: impl FnMut(&ModelUpdate) -> f64,
-) -> (Vec<&'a ModelUpdate>, Vec<&'a ModelUpdate>) {
-    let mut kept = Vec::new();
-    let mut rejected = Vec::new();
-    for &u in updates {
-        if u.is_finite() && fitness(u) >= threshold {
-            kept.push(u);
-        } else {
-            rejected.push(u);
-        }
-    }
-    (kept, rejected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,28 +151,6 @@ mod tests {
         // Owner not in the combination leaves the order untouched.
         assert_eq!(c.label(Some(ClientId(2))), "A,B");
         assert_eq!(c.to_string(), "A,B");
-    }
-
-    #[test]
-    fn threshold_filter_splits() {
-        let a = ModelUpdate::new(ClientId(0), 0, vec![1.0], 1);
-        let b = ModelUpdate::new(ClientId(1), 0, vec![2.0], 1);
-        let c = ModelUpdate::new(ClientId(2), 0, vec![3.0], 1);
-        let all = [&a, &b, &c];
-        // Fitness = first parameter value.
-        let (kept, rejected) = threshold_filter(&all, 2.0, |u| f64::from(u.params[0]));
-        assert_eq!(kept.len(), 2);
-        assert_eq!(rejected.len(), 1);
-        assert_eq!(rejected[0].client, ClientId(0));
-    }
-
-    #[test]
-    fn threshold_filter_rejects_non_finite_regardless_of_fitness() {
-        let poisoned = ModelUpdate::new(ClientId(0), 0, vec![f32::NAN], 1);
-        let all = [&poisoned];
-        let (kept, rejected) = threshold_filter(&all, 0.0, |_| 1.0);
-        assert!(kept.is_empty());
-        assert_eq!(rejected.len(), 1);
     }
 
     #[test]

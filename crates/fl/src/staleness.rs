@@ -1,13 +1,14 @@
-//! Staleness-aware asynchronous merging and the age-of-block metric.
+//! Staleness decay and the age-of-block metric.
 //!
 //! The paper's future work asks about "the impact of an arbitrary number of
 //! local updates on each peer in asynchronous communication ... for optimal
 //! values". Aggregating early (wait-for-k) means later updates arrive *stale*:
-//! they were trained against an older global model. This module implements the
-//! standard mitigation — FedAsync-style mixing where the weight of an update
-//! decays with its staleness (Xie et al., 2019) — plus the **age-of-block**
-//! freshness metric of Wilhelmi et al. (NetSoft 2023), which the related-work
-//! section cites as the way to measure model-update freshness on a blockchain.
+//! they were trained against an older global model. This module holds the
+//! standard mitigation — an update's weight decays with its staleness, as in
+//! FedAsync (Xie et al., 2019) — plus the **age-of-block** freshness metric of
+//! Wilhelmi et al. (NetSoft 2023), which the related-work section cites as the
+//! way to measure model-update freshness on a blockchain. The decentralized
+//! round engine in `blockfed-core` reads both.
 
 use serde::{Deserialize, Serialize};
 
@@ -71,117 +72,6 @@ impl std::fmt::Display for StalenessDecay {
             StalenessDecay::Exponential { lambda } => write!(f, "exp(λ={lambda})"),
             StalenessDecay::Cutoff { max_staleness } => write!(f, "cutoff(s≤{max_staleness})"),
         }
-    }
-}
-
-/// FedAsync-style server: maintains a global model and folds in one update at
-/// a time with a staleness-discounted mixing weight
-/// `w = alpha * decay(s)`, i.e. `global ← (1 - w) · global + w · update`.
-///
-/// # Examples
-///
-/// ```
-/// use blockfed_fl::{AsyncMerger, StalenessDecay};
-///
-/// let mut merger = AsyncMerger::new(vec![0.0, 0.0], 0.5, StalenessDecay::Constant);
-/// merger.merge(&[1.0, 2.0], 0)?; // fresh update, weight 0.5
-/// assert_eq!(merger.global(), &[0.5, 1.0]);
-/// # Ok::<(), blockfed_fl::MergeError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncMerger {
-    global: Vec<f32>,
-    alpha: f64,
-    decay: StalenessDecay,
-    merges: u64,
-}
-
-/// Error merging an asynchronous update.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MergeError {
-    /// The update's parameter count differs from the global model's.
-    ShapeMismatch {
-        /// Global model parameter count.
-        expected: usize,
-        /// Offending update parameter count.
-        got: usize,
-    },
-    /// The update contains NaN or infinite parameters.
-    NonFinite,
-}
-
-impl std::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MergeError::ShapeMismatch { expected, got } => {
-                write!(
-                    f,
-                    "update has {got} parameters, global model has {expected}"
-                )
-            }
-            MergeError::NonFinite => write!(f, "update contains non-finite parameters"),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
-
-impl AsyncMerger {
-    /// Creates a merger seeded with the initial global model.
-    ///
-    /// `alpha` is the base mixing rate in `[0, 1]` (FedAsync's α); it is
-    /// clamped into that range.
-    pub fn new(initial_global: Vec<f32>, alpha: f64, decay: StalenessDecay) -> Self {
-        AsyncMerger {
-            global: initial_global,
-            alpha: alpha.clamp(0.0, 1.0),
-            decay,
-            merges: 0,
-        }
-    }
-
-    /// The current global model.
-    pub fn global(&self) -> &[f32] {
-        &self.global
-    }
-
-    /// Consumes the merger, returning the global model.
-    pub fn into_global(self) -> Vec<f32> {
-        self.global
-    }
-
-    /// Number of updates merged so far.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
-    /// The effective mixing weight an update of staleness `s` would receive.
-    pub fn weight_for(&self, staleness: u32) -> f64 {
-        self.alpha * self.decay.factor(staleness)
-    }
-
-    /// Folds `update` (trained `staleness` rounds ago) into the global model.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::ShapeMismatch`] or [`MergeError::NonFinite`]; the global
-    /// model is left untouched on error.
-    pub fn merge(&mut self, update: &[f32], staleness: u32) -> Result<f64, MergeError> {
-        if update.len() != self.global.len() {
-            return Err(MergeError::ShapeMismatch {
-                expected: self.global.len(),
-                got: update.len(),
-            });
-        }
-        if update.iter().any(|p| !p.is_finite()) {
-            return Err(MergeError::NonFinite);
-        }
-        let w = self.weight_for(staleness);
-        for (g, &u) in self.global.iter_mut().zip(update) {
-            *g = ((1.0 - w) * f64::from(*g) + w * f64::from(u)) as f32;
-        }
-        self.merges += 1;
-        Ok(w)
     }
 }
 
@@ -321,70 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_moves_global_toward_update() {
-        let mut m = AsyncMerger::new(vec![0.0, 0.0], 0.5, StalenessDecay::Constant);
-        let w = m.merge(&[1.0, 2.0], 0).unwrap();
-        assert_eq!(w, 0.5);
-        assert_eq!(m.global(), &[0.5, 1.0]);
-        assert_eq!(m.merges(), 1);
-    }
-
-    #[test]
-    fn stale_updates_move_global_less() {
-        let decay = StalenessDecay::Polynomial { a: 1.0 };
-        let mut fresh = AsyncMerger::new(vec![0.0], 0.8, decay);
-        let mut stale = AsyncMerger::new(vec![0.0], 0.8, decay);
-        fresh.merge(&[1.0], 0).unwrap();
-        stale.merge(&[1.0], 4).unwrap();
-        assert!(fresh.global()[0] > stale.global()[0]);
-        assert!(stale.global()[0] > 0.0);
-    }
-
-    #[test]
-    fn alpha_zero_freezes_global() {
-        let mut m = AsyncMerger::new(vec![3.0], 0.0, StalenessDecay::Constant);
-        m.merge(&[100.0], 0).unwrap();
-        assert_eq!(m.global(), &[3.0]);
-    }
-
-    #[test]
-    fn alpha_one_fresh_replaces_global() {
-        let mut m = AsyncMerger::new(vec![3.0], 1.0, StalenessDecay::Constant);
-        m.merge(&[100.0], 0).unwrap();
-        assert_eq!(m.global(), &[100.0]);
-    }
-
-    #[test]
-    fn alpha_is_clamped() {
-        let m = AsyncMerger::new(vec![0.0], 7.0, StalenessDecay::Constant);
-        assert_eq!(m.weight_for(0), 1.0);
-        let m = AsyncMerger::new(vec![0.0], -1.0, StalenessDecay::Constant);
-        assert_eq!(m.weight_for(0), 0.0);
-    }
-
-    #[test]
-    fn merge_rejects_bad_updates_without_mutating() {
-        let mut m = AsyncMerger::new(vec![1.0, 2.0], 0.5, StalenessDecay::Constant);
-        assert_eq!(
-            m.merge(&[1.0], 0),
-            Err(MergeError::ShapeMismatch {
-                expected: 2,
-                got: 1
-            })
-        );
-        assert_eq!(m.merge(&[f32::NAN, 0.0], 0), Err(MergeError::NonFinite));
-        assert_eq!(m.global(), &[1.0, 2.0]);
-        assert_eq!(m.merges(), 0);
-    }
-
-    #[test]
-    fn into_global_returns_final_model() {
-        let mut m = AsyncMerger::new(vec![0.0], 1.0, StalenessDecay::Constant);
-        m.merge(&[5.0], 0).unwrap();
-        assert_eq!(m.into_global(), vec![5.0]);
-    }
-
-    #[test]
     fn age_of_block_statistics() {
         let mut a = AgeOfBlock::new();
         assert_eq!(a.mean(), 0.0);
@@ -453,16 +279,5 @@ mod tests {
         assert!(StalenessDecay::Cutoff { max_staleness: 2 }
             .to_string()
             .contains('2'));
-    }
-
-    #[test]
-    fn merge_error_display() {
-        assert!(MergeError::ShapeMismatch {
-            expected: 2,
-            got: 1
-        }
-        .to_string()
-        .contains('2'));
-        assert!(MergeError::NonFinite.to_string().contains("non-finite"));
     }
 }

@@ -3,7 +3,7 @@
 //! Deterministic structured tracing for the blockfed stack.
 //!
 //! The simulation is bit-reproducible from a seed, and telemetry must keep
-//! it that way. The design splits observation into three layers:
+//! it that way. The design splits observation into two layers:
 //!
 //! 1. **Trace records** ([`TraceRecord`]): span begins/ends and instant
 //!    events stamped with **virtual sim time**, emitted through a
@@ -16,8 +16,8 @@
 //!    unconditionally during the run (wait time per round, staleness
 //!    distribution, fetch-retry latency). Deterministic and comparable;
 //!    this is what lands in `CellReport` and the bench JSON.
-//! 3. **Wall-clock profiling** ([`PhaseProfiler`]): host time per phase,
-//!    kept strictly outside the deterministic record.
+//!
+//! Host wall-clock time belongs to neither layer.
 //!
 //! Exports: [`jsonl`] writes one record per line with a self-contained
 //! schema validator; [`chrome`] renders a Chrome-trace / Perfetto document.
@@ -52,11 +52,9 @@
 pub mod chrome;
 pub mod jsonl;
 mod metrics;
-mod profile;
 mod record;
 mod sink;
 
 pub use metrics::{Histogram, MetricSet};
-pub use profile::PhaseProfiler;
 pub use record::{Attr, AttrValue, RecordKind, TraceRecord, RUN_TRACK};
 pub use sink::{MemorySink, NoopSink, Telemetry, TraceSink};

@@ -1,9 +1,7 @@
 //! The trace record: what a span or event looks like on the wire.
 //!
 //! Records are stamped with **virtual sim time** only. Wall-clock never
-//! appears here — host timing lives in [`crate::PhaseProfiler`], strictly
-//! outside the deterministic record, so a traced run and an untraced run
-//! are bit-identical.
+//! appears here, so a traced run and an untraced run are bit-identical.
 
 use blockfed_sim::SimTime;
 

@@ -7,7 +7,7 @@
 //! row-parallel over [`blockfed_compute`]: output rows are split into one
 //! contiguous chunk per worker, and within a row every output element
 //! accumulates its products in exactly the same (ascending-`k`) order as the
-//! scalar kernels retained in [`reference`]. Because f32 addition happens in
+//! scalar kernels retained in [`mod@reference`]. Because f32 addition happens in
 //! an identical order, the parallel kernels are **bit-identical** to the
 //! reference at every thread count — enforced by tests here and in
 //! `tests/parallel_equivalence.rs`.

@@ -84,7 +84,12 @@ fn decentralized_attack_and_audit() {
     println!(
         "\nthe attacker's round-1 artefact is preserved verbatim (param norm {:.1}) —\n\
          it signed what it published; authorship is undeniable.\n",
-        blockfed::fl::robust::l2_norm(&poisoned.params)
+        poisoned
+            .params
+            .iter()
+            .map(|&p| f64::from(p) * f64::from(p))
+            .sum::<f64>()
+            .sqrt()
     );
 }
 

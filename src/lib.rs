@@ -25,7 +25,7 @@
 //! | [`tensor`] | `blockfed-tensor` | dense f32 tensor math |
 //! | [`nn`] | `blockfed-nn` | layers, SGD, the SimpleNN / Efficient-B0 zoo |
 //! | [`data`] | `blockfed-data` | SynthCifar + federated partitioning |
-//! | [`fl`] | `blockfed-fl` | FedAvg, strategies (incl. best-k), robust rules, attacks, FedAsync |
+//! | [`fl`] | `blockfed-fl` | FedAvg, strategies (incl. best-k), wait policies, staleness decay, attacks |
 //! | [`core`] | `blockfed-core` | the fully coupled decentralized system |
 //! | [`scenario`] | `blockfed-scenario` | declarative N-peer scenarios: churn, partitions, parallel matrices |
 //! | [`telemetry`] | `blockfed-telemetry` | deterministic spans/events, metric folding, trace exporters |

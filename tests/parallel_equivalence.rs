@@ -11,8 +11,7 @@ mod common;
 
 use blockfed::chain::pow;
 use blockfed::crypto::sha256::sha256;
-use blockfed::fl::robust::{coordinate_median, krum_scores, trimmed_mean};
-use blockfed::fl::{fed_avg, fed_avg_unweighted, ClientId, ModelUpdate};
+use blockfed::fl::{fed_avg, ClientId, ModelUpdate};
 use blockfed::tensor::ops::{clip, log_softmax_rows, relu, softmax_rows};
 use blockfed::tensor::{conv2d_forward, im2col, matmul, Conv2dSpec, Tensor};
 use blockfed::tensor::{matmul_at, matmul_bt};
@@ -135,18 +134,7 @@ fn fedavg_bit_matches_scalar_reference_at_every_thread_count() {
         let expect: Vec<f32> = expect.into_iter().map(|v| v as f32).collect();
         let got = with_threads(|| fed_avg(&refs).expect("valid updates"));
         assert_eq!(got, expect, "fed_avg n={n} dim={dim}");
-        with_threads(|| fed_avg_unweighted(&refs).expect("valid updates"));
     }
-}
-
-#[test]
-fn robust_rules_are_thread_count_invariant() {
-    let mut rng = StdRng::seed_from_u64(104);
-    let updates = random_updates(&mut rng, 7, 6_000);
-    let refs: Vec<&ModelUpdate> = updates.iter().collect();
-    with_threads(|| krum_scores(&refs, 1).expect("enough updates"));
-    with_threads(|| trimmed_mean(&refs, 2).expect("enough updates"));
-    with_threads(|| coordinate_median(&refs).expect("valid updates"));
 }
 
 #[test]

@@ -2,13 +2,7 @@
 
 use blockfed::chain::{DifficultyController, RetargetRule};
 use blockfed::crypto::{merkle_root, sha256::Sha256, MerkleTree, U256};
-use blockfed::fl::robust::{
-    clip_to_norm, coordinate_median, krum, l2_norm, multi_krum, trimmed_mean,
-};
-use blockfed::fl::{
-    fed_avg, fed_avg_unweighted, AsyncMerger, Attack, ClientId, ModelUpdate, StalenessDecay,
-    WaitPolicy,
-};
+use blockfed::fl::{fed_avg, Attack, ClientId, ModelUpdate, StalenessDecay, WaitPolicy};
 use blockfed::nn::serialize::{decode_params, encode_params};
 use blockfed::tensor::{matmul, Tensor};
 use proptest::prelude::*;
@@ -186,85 +180,6 @@ proptest! {
         }
     }
 
-    // ---------------- robust aggregation -------------------------------------
-
-    #[test]
-    fn median_is_coordinatewise_bounded(
-        cols in prop::collection::vec(prop::collection::vec(-100.0f32..100.0, 3..8), 1..16),
-    ) {
-        // Build n updates from the transposed column lists.
-        let n = cols[0].len();
-        prop_assume!(cols.iter().all(|c| c.len() == n));
-        let updates: Vec<ModelUpdate> = (0..n)
-            .map(|i| {
-                let params: Vec<f32> = cols.iter().map(|c| c[i]).collect();
-                ModelUpdate::new(ClientId(i), 0, params, 1)
-            })
-            .collect();
-        let refs: Vec<&ModelUpdate> = updates.iter().collect();
-        let med = coordinate_median(&refs).unwrap();
-        for (c, column) in cols.iter().enumerate() {
-            let lo = column.iter().copied().fold(f32::INFINITY, f32::min);
-            let hi = column.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            prop_assert!(med[c] >= lo && med[c] <= hi, "median out of range at {}", c);
-        }
-    }
-
-    #[test]
-    fn trimmed_mean_zero_trim_matches_unweighted_fedavg(
-        vals in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 4), 2..8),
-    ) {
-        let updates: Vec<ModelUpdate> = vals
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ModelUpdate::new(ClientId(i), 0, p.clone(), 7))
-            .collect();
-        let refs: Vec<&ModelUpdate> = updates.iter().collect();
-        let tm = trimmed_mean(&refs, 0).unwrap();
-        let fa = fed_avg_unweighted(&refs).unwrap();
-        for (a, b) in tm.iter().zip(&fa) {
-            prop_assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn krum_never_selects_a_distant_outlier(
-        centre in prop::collection::vec(-1.0f32..1.0, 4),
-        jitters in prop::collection::vec(prop::collection::vec(-0.01f32..0.01, 4), 4..8),
-        boost in 100.0f32..1000.0,
-    ) {
-        // Honest cluster + one boosted outlier appended last.
-        let mut updates: Vec<ModelUpdate> = jitters
-            .iter()
-            .enumerate()
-            .map(|(i, j)| {
-                let params: Vec<f32> = centre.iter().zip(j).map(|(c, d)| c + d).collect();
-                ModelUpdate::new(ClientId(i), 0, params, 1)
-            })
-            .collect();
-        let outlier: Vec<f32> = centre.iter().map(|c| c + boost).collect();
-        updates.push(ModelUpdate::new(ClientId(99), 0, outlier, 1));
-        let refs: Vec<&ModelUpdate> = updates.iter().collect();
-        let (idx, _) = krum(&refs, 1).unwrap();
-        prop_assert_ne!(idx, refs.len() - 1, "krum picked the outlier");
-        // Multi-Krum over the honest majority also excludes it.
-        let (selected, _) = multi_krum(&refs, 1, refs.len() - 2).unwrap();
-        prop_assert!(!selected.contains(&(refs.len() - 1)));
-    }
-
-    #[test]
-    fn clipping_never_increases_norm_and_preserves_direction(
-        params in prop::collection::vec(-100.0f32..100.0, 1..32),
-        max_norm in 0.1f64..50.0,
-    ) {
-        let clipped = clip_to_norm(&params, max_norm).unwrap();
-        prop_assert!(l2_norm(&clipped) <= max_norm + 1e-6 || l2_norm(&clipped) <= l2_norm(&params) + 1e-6);
-        // Direction preserved: the sign pattern never flips.
-        for (a, b) in params.iter().zip(&clipped) {
-            prop_assert!(a.signum() == b.signum() || *b == 0.0 || *a == 0.0);
-        }
-    }
-
     // ---------------- staleness & wait policies ------------------------------
 
     #[test]
@@ -284,28 +199,6 @@ proptest! {
             let f1 = decay.factor(s + 1);
             prop_assert!((0.0..=1.0).contains(&f0));
             prop_assert!(f1 <= f0 + 1e-12, "{decay} increased with staleness");
-        }
-    }
-
-    #[test]
-    fn async_merge_is_a_convex_step(
-        global in prop::collection::vec(-10.0f32..10.0, 1..16),
-        delta in prop::collection::vec(-5.0f32..5.0, 1..16),
-        alpha in 0.0f64..1.0,
-        staleness in 0u32..8,
-    ) {
-        let n = global.len().min(delta.len());
-        let update: Vec<f32> = global[..n].iter().zip(&delta[..n]).map(|(g, d)| g + d).collect();
-        let mut merger = AsyncMerger::new(
-            global[..n].to_vec(),
-            alpha,
-            StalenessDecay::Polynomial { a: 0.5 },
-        );
-        merger.merge(&update, staleness).unwrap();
-        for i in 0..n {
-            let lo = global[i].min(update[i]) - 1e-4;
-            let hi = global[i].max(update[i]) + 1e-4;
-            prop_assert!(merger.global()[i] >= lo && merger.global()[i] <= hi);
         }
     }
 
