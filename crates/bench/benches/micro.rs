@@ -1,11 +1,11 @@
 //! Microbenchmarks of the substrates: the kernels every experiment is built on.
 
-use blockfed_chain::{pow, GenesisSpec, Transaction};
+use blockfed_chain::{GenesisSpec, Transaction};
 use blockfed_crypto::{merkle_root, sha256::sha256, KeyPair, U256};
 use blockfed_fl::{fed_avg, ClientId, ModelUpdate};
 use blockfed_net::{LinkSpec, Network, NodeId, Topology};
 use blockfed_tensor::{matmul, Tensor};
-use blockfed_vm::{asm::assemble, BlockfedRuntime};
+use blockfed_vm::BlockfedRuntime;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,34 +39,11 @@ fn bench_crypto(c: &mut Criterion) {
 
 fn bench_chain(c: &mut Criterion) {
     let mut g = c.benchmark_group("chain");
-    g.bench_function("pow_mine_d64", |b| {
-        let mut nonce_start = 0u64;
-        b.iter(|| {
-            let mut header = blockfed_chain::Header {
-                parent: sha256(b"parent"),
-                number: 1,
-                timestamp_ns: 1,
-                miner: Default::default(),
-                difficulty: 64,
-                nonce: 0,
-                tx_root: Default::default(),
-                state_root: Default::default(),
-                gas_used: 0,
-                gas_limit: 1_000_000,
-            };
-            nonce_start = nonce_start.wrapping_add(1 << 20);
-            pow::mine(&mut header, nonce_start, u64::MAX).unwrap()
-        })
-    });
-
     let key = KeyPair::generate(&mut StdRng::seed_from_u64(2));
     let spec = GenesisSpec::with_accounts(&[key.address()], u64::MAX / 4).with_difficulty(16);
     g.bench_function("block_build_and_import_10tx", |b| {
         b.iter(|| {
-            let mut chain = blockfed_chain::Blockchain::with_seal_policy(
-                &spec,
-                blockfed_chain::SealPolicy::Simulated,
-            );
+            let mut chain = blockfed_chain::Blockchain::new(&spec);
             let txs: Vec<Transaction> = (0..10)
                 .map(|n| Transaction::transfer(key.address(), key.address(), 1, n).signed(&key))
                 .collect();
@@ -82,26 +59,6 @@ fn bench_chain(c: &mut Criterion) {
 
 fn bench_vm(c: &mut Criterion) {
     let mut g = c.benchmark_group("vm");
-    // Sum 1..=100 in a MiniVM loop.
-    let code = assemble(
-        "PUSH8 100\nPUSH8 1\nSSTORE\nloop:\nJUMPDEST\nPUSH8 1\nSLOAD\nISZERO\nPUSH8 @exit\nJUMPI\nPUSH8 0\nSLOAD\nPUSH8 1\nSLOAD\nADD\nPUSH8 0\nSSTORE\nPUSH8 1\nSLOAD\nPUSH8 1\nSUB\nPUSH8 1\nSSTORE\nPUSH8 @loop\nJUMP\nexit:\nJUMPDEST\nPUSH8 0\nSLOAD\nPUSH8 1\nRETURN",
-    )
-    .unwrap();
-    g.bench_function("minivm_loop_100", |b| {
-        b.iter(|| {
-            let mut state = blockfed_chain::State::new();
-            let ctx = blockfed_chain::CallContext {
-                caller: Default::default(),
-                contract: Default::default(),
-                calldata: vec![],
-                gas_budget: 10_000_000,
-                block_number: 1,
-                timestamp_ns: 0,
-            };
-            blockfed_vm::interp::run(&ctx, black_box(&code), &mut state)
-        })
-    });
-
     g.bench_function("registry_submit", |b| {
         use blockfed_chain::ContractRuntime;
         let mut rt = BlockfedRuntime::new();
@@ -212,8 +169,8 @@ fn bench_net(c: &mut Criterion) {
 
 /// Scalar-vs-parallel kernels: the perf trajectory of the compute backend.
 ///
-/// `scalar` rows pin the compute layer to one worker (and, for PoW, the
-/// non-midstate reference); `parallel` rows use the detected worker count.
+/// `scalar` rows pin the compute layer to one worker; `parallel` rows use the
+/// detected worker count.
 /// The matmul shapes are the EffNet-lite layers the paper's heavy experiments
 /// spend their time in (batch 32, backbone width 2270, 10 classes).
 fn bench_scaling(c: &mut Criterion) {
@@ -251,31 +208,6 @@ fn bench_scaling(c: &mut Criterion) {
     });
     g.bench_function("matmul_bt_effnet_head_32x2270x10_parallel", |b| {
         b.iter(|| blockfed_tensor::matmul_bt(black_box(&x), black_box(&w_head)))
-    });
-
-    // PoW nonce throughput: same 20 000-attempt scan, never sealing
-    // (difficulty u128::MAX), so the numbers are pure hashing cost.
-    let header = blockfed_chain::Header {
-        parent: sha256(b"bench-parent"),
-        number: 1,
-        timestamp_ns: 1,
-        miner: Default::default(),
-        difficulty: u128::MAX,
-        nonce: 0,
-        tx_root: sha256(b"bench-txs"),
-        state_root: sha256(b"bench-state"),
-        gas_used: 0,
-        gas_limit: 1_000_000,
-    };
-    const ATTEMPTS: u64 = 20_000;
-    g.bench_function("pow_20k_nonces_no_midstate", |b| {
-        b.iter(|| pow::mine_reference(&mut header.clone(), 0, ATTEMPTS))
-    });
-    g.bench_function("pow_20k_nonces_midstate", |b| {
-        b.iter(|| pow::mine(&mut header.clone(), 0, ATTEMPTS))
-    });
-    g.bench_function("pow_20k_nonces_midstate_parallel", |b| {
-        b.iter(|| pow::mine_parallel(&mut header.clone(), 0, ATTEMPTS))
     });
 
     // FedAvg over SimpleNN-sized updates: inline scalar loop vs the chunked

@@ -662,7 +662,7 @@ pub fn run_chainperf_with_gas_limit(
     seed: u64,
     block_gas_limit: u64,
 ) -> ChainPerfOutput {
-    use blockfed_chain::{pow, Blockchain, GenesisSpec, Mempool, SealPolicy};
+    use blockfed_chain::{pow, Blockchain, GenesisSpec, Mempool};
     use blockfed_crypto::KeyPair;
     use blockfed_vm::{BlockfedRuntime, NativeContract, RegistryCall, NATIVE_REGISTRY_CODE};
 
@@ -684,7 +684,7 @@ pub fn run_chainperf_with_gas_limit(
                 .with_difficulty(difficulty)
                 .with_code(registry, NATIVE_REGISTRY_CODE.to_vec());
             spec.gas_limit = block_gas_limit;
-            let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+            let mut chain = Blockchain::new(&spec);
             let mut runtime = BlockfedRuntime::new();
             runtime.register_native(registry, NativeContract::FlRegistry);
             let mut mempool = Mempool::new();

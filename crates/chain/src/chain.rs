@@ -16,14 +16,20 @@ use crate::state::State;
 use crate::store::ChainStore;
 use crate::tx::Transaction;
 
-/// How strictly imported seals are checked.
+/// How imported seals are treated. There is one policy: every chain trusts
+/// the seal, because the discrete-event simulation decides the mining race.
+///
+/// The enum exists only because the benchmark harness in
+/// `examples/benchmark` (its `replay.rs`) names both `SealPolicy::Simulated`
+/// and the policy parameter of [`Blockchain::with_store`], and must keep
+/// compiling unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SealPolicy {
-    /// Require `hash(header) ≤ target` (real proof-of-work).
-    Full,
     /// Trust the seal; the mining race was decided by the discrete-event
     /// simulation upstream, which draws each winner from the exponential
-    /// race that real hashing at the same rates and difficulty produces.
+    /// race that real hashing at the same rates and difficulty produces
+    /// (`pow::tests::simulated_and_literal_agree_on_validity_rate` checks
+    /// the two means agree).
     Simulated,
 }
 
@@ -41,8 +47,6 @@ pub enum ImportError {
     },
     /// Timestamp is not after the parent's.
     BadTimestamp,
-    /// The proof-of-work seal does not meet the difficulty target.
-    BadSeal,
     /// The header's transaction root does not match the body.
     BadTxRoot,
     /// Re-execution produced a different state root.
@@ -69,7 +73,6 @@ impl std::fmt::Display for ImportError {
                 write!(f, "bad height: expected {expected}, got {got}")
             }
             ImportError::BadTimestamp => write!(f, "timestamp not after parent"),
-            ImportError::BadSeal => write!(f, "proof-of-work seal invalid"),
             ImportError::BadTxRoot => write!(f, "transaction root mismatch"),
             ImportError::BadStateRoot { .. } => write!(f, "state root mismatch"),
             ImportError::BadGasUsed { declared, computed } => {
@@ -116,28 +119,22 @@ pub struct Blockchain {
     total_difficulty: HashMap<H256, u128>,
     head: H256,
     genesis: H256,
-    seal_policy: SealPolicy,
     retarget_rule: crate::retarget::RetargetRule,
     store: ChainStore,
 }
 
 impl Blockchain {
-    /// Creates a chain from a genesis spec with full seal checking.
+    /// Creates a chain from a genesis spec with a fresh, private
+    /// [`ChainStore`]. Import trusts seals (see [`SealPolicy`]).
     pub fn new(spec: &GenesisSpec) -> Self {
-        Self::with_seal_policy(spec, SealPolicy::Full)
-    }
-
-    /// Creates a chain with an explicit seal policy and a fresh, private
-    /// [`ChainStore`].
-    pub fn with_seal_policy(spec: &GenesisSpec, seal_policy: SealPolicy) -> Self {
-        Self::with_store(spec, seal_policy, ChainStore::new())
+        Self::with_store(spec, SealPolicy::Simulated, ChainStore::new())
     }
 
     /// Creates a chain backed by an explicit store. Chains constructed from
     /// the same handle share validated executions and signature verdicts —
     /// this is how one run's peers collapse O(peers) re-execution to one,
     /// without anything leaking past the handle's lifetime.
-    pub fn with_store(spec: &GenesisSpec, seal_policy: SealPolicy, store: ChainStore) -> Self {
+    pub fn with_store(spec: &GenesisSpec, _seal_policy: SealPolicy, store: ChainStore) -> Self {
         let (genesis_block, genesis_state) = spec.build();
         let genesis_hash = genesis_block.hash();
         let mut blocks = HashMap::new();
@@ -153,7 +150,6 @@ impl Blockchain {
             total_difficulty,
             head: genesis_hash,
             genesis: genesis_hash,
-            seal_policy,
             retarget_rule: crate::retarget::RetargetRule::Homestead,
             store,
         }
@@ -329,9 +325,6 @@ impl Blockchain {
         if block.header.timestamp_ns <= parent.header.timestamp_ns {
             return Err(ImportError::BadTimestamp);
         }
-        if self.seal_policy == SealPolicy::Full && !pow::seal_valid(&block.header) {
-            return Err(ImportError::BadSeal);
-        }
         if !block.tx_root_valid() {
             return Err(ImportError::BadTxRoot);
         }
@@ -441,7 +434,6 @@ impl Blockchain {
             total_difficulty,
             head: *hash,
             genesis: self.genesis,
-            seal_policy: self.seal_policy,
             retarget_rule: self.retarget_rule,
             store: self.store.clone(),
         })
@@ -449,8 +441,7 @@ impl Blockchain {
 
     /// Builds an unsealed candidate block on the current head: executes `txs`,
     /// fills in roots and gas, and computes the retargeted difficulty. The
-    /// caller still has to seal it (literal [`pow::mine`] or the simulated
-    /// race) before importing.
+    /// simulated mining race decides when and whether it is imported.
     pub fn build_candidate(
         &self,
         miner: blockfed_crypto::H160,
@@ -522,10 +513,8 @@ mod tests {
         Blockchain::new(&spec)
     }
 
-    fn sealed_block(chain: &Blockchain, miner: H160, txs: Vec<Transaction>, ts: u64) -> Block {
-        let mut block = chain.build_candidate(miner, txs, ts, &mut NullRuntime);
-        pow::mine(&mut block.header, 0, 10_000_000).expect("low difficulty seals fast");
-        block
+    fn candidate(chain: &Blockchain, miner: H160, txs: Vec<Transaction>, ts: u64) -> Block {
+        chain.build_candidate(miner, txs, ts, &mut NullRuntime)
     }
 
     #[test]
@@ -543,7 +532,7 @@ mod tests {
         let mut chain = low_difficulty_chain(&[k.address()]);
         let recipient = key(2).address();
         let tx = Transaction::transfer(k.address(), recipient, 77, 0).signed(&k);
-        let block = sealed_block(&chain, k.address(), vec![tx], 13_000_000_000);
+        let block = candidate(&chain, k.address(), vec![tx], 13_000_000_000);
         let outcome = chain.import(block, &mut NullRuntime).unwrap();
         assert_eq!(outcome, ImportOutcome::Extended);
         assert_eq!(chain.height(), 1);
@@ -557,7 +546,7 @@ mod tests {
     fn duplicate_import_is_noop() {
         let k = key(3);
         let mut chain = low_difficulty_chain(&[k.address()]);
-        let block = sealed_block(&chain, k.address(), vec![], 1_000);
+        let block = candidate(&chain, k.address(), vec![], 1_000);
         chain.import(block.clone(), &mut NullRuntime).unwrap();
         assert_eq!(
             chain.import(block, &mut NullRuntime),
@@ -569,9 +558,8 @@ mod tests {
     fn orphans_are_rejected() {
         let k = key(4);
         let mut chain = low_difficulty_chain(&[k.address()]);
-        let mut block = sealed_block(&chain, k.address(), vec![], 1_000);
+        let mut block = candidate(&chain, k.address(), vec![], 1_000);
         block.header.parent = blockfed_crypto::sha256::sha256(b"nowhere");
-        pow::mine(&mut block.header, 0, 10_000_000).unwrap();
         assert!(matches!(
             chain.import(block, &mut NullRuntime),
             Err(ImportError::UnknownParent(_))
@@ -579,23 +567,10 @@ mod tests {
     }
 
     #[test]
-    fn bad_seal_rejected_under_full_policy() {
-        let k = key(5);
-        let spec = GenesisSpec::with_accounts(&[k.address()], 1_000).with_difficulty(u128::MAX / 2);
-        let mut chain = Blockchain::new(&spec);
-        // Candidate without real mining: astronomically unlikely to seal.
-        let block = chain.build_candidate(k.address(), vec![], 1_000, &mut NullRuntime);
-        assert_eq!(
-            chain.import(block, &mut NullRuntime),
-            Err(ImportError::BadSeal)
-        );
-    }
-
-    #[test]
     fn simulated_policy_skips_seal_check() {
         let k = key(6);
         let spec = GenesisSpec::with_accounts(&[k.address()], 1_000).with_difficulty(u128::MAX / 2);
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut chain = Blockchain::new(&spec);
         let block = chain.build_candidate(k.address(), vec![], 1_000, &mut NullRuntime);
         assert_eq!(
             chain.import(block, &mut NullRuntime),
@@ -607,9 +582,8 @@ mod tests {
     fn tampered_state_root_rejected() {
         let k = key(7);
         let mut chain = low_difficulty_chain(&[k.address()]);
-        let mut block = sealed_block(&chain, k.address(), vec![], 1_000);
+        let mut block = candidate(&chain, k.address(), vec![], 1_000);
         block.header.state_root = blockfed_crypto::sha256::sha256(b"fake");
-        pow::mine(&mut block.header, 0, 10_000_000).unwrap();
         assert!(matches!(
             chain.import(block, &mut NullRuntime),
             Err(ImportError::BadStateRoot { .. })
@@ -692,12 +666,12 @@ mod tests {
         // cached executions (the old process-wide memo made that possible).
         let k = key(23);
         let spec = GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(16);
-        let mut a = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut a = Blockchain::new(&spec);
         let block = Arc::new(a.build_candidate(k.address(), vec![], 1_000, &mut NullRuntime));
         a.import_arc(Arc::clone(&block), &mut NullRuntime).unwrap();
         assert_eq!(a.store().exec_entries(), 1);
 
-        let mut b = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut b = Blockchain::new(&spec);
         b.import_arc(block, &mut NullRuntime).unwrap();
         let c = b.store().counters();
         assert_eq!(c.exec_hits, 0, "a private store cannot see other runs");
@@ -709,9 +683,8 @@ mod tests {
         let k = key(8);
         let mut chain = low_difficulty_chain(&[k.address()]);
         let tx = Transaction::transfer(k.address(), k.address(), 1, 0).signed(&k);
-        let mut block = sealed_block(&chain, k.address(), vec![tx], 1_000);
+        let mut block = candidate(&chain, k.address(), vec![tx], 1_000);
         block.transactions.clear();
-        pow::mine(&mut block.header, 0, 10_000_000).unwrap();
         assert_eq!(
             chain.import(block, &mut NullRuntime),
             Err(ImportError::BadTxRoot)
@@ -722,9 +695,8 @@ mod tests {
     fn bad_number_and_timestamp_rejected() {
         let k = key(9);
         let mut chain = low_difficulty_chain(&[k.address()]);
-        let mut wrong_number = sealed_block(&chain, k.address(), vec![], 1_000);
+        let mut wrong_number = candidate(&chain, k.address(), vec![], 1_000);
         wrong_number.header.number = 7;
-        pow::mine(&mut wrong_number.header, 0, 10_000_000).unwrap();
         assert!(matches!(
             chain.import(wrong_number, &mut NullRuntime),
             Err(ImportError::BadNumber {
@@ -733,9 +705,8 @@ mod tests {
             })
         ));
 
-        let mut stale_ts = sealed_block(&chain, k.address(), vec![], 1_000);
+        let mut stale_ts = candidate(&chain, k.address(), vec![], 1_000);
         stale_ts.header.timestamp_ns = 0; // genesis is 0; must be strictly greater
-        pow::mine(&mut stale_ts.header, 0, 10_000_000).unwrap();
         assert_eq!(
             chain.import(stale_ts, &mut NullRuntime),
             Err(ImportError::BadTimestamp)
@@ -749,12 +720,14 @@ mod tests {
         let genesis = chain.head();
 
         // Block A extends genesis; becomes head.
-        let block_a = sealed_block(&chain, k.address(), vec![], 1_000);
+        let block_a = candidate(&chain, k.address(), vec![], 1_000);
         let a_hash = block_a.hash();
         chain.import(block_a, &mut NullRuntime).unwrap();
         assert_eq!(chain.head(), a_hash);
 
-        // Competing block B also on genesis: side chain (equal TD keeps head).
+        // Competing block B also on genesis with equal TD. The tie goes to
+        // the smaller hash, so pick B's nonce to make it the loser: it must
+        // land on a side chain.
         let mut block_b = Block {
             header: Header {
                 parent: genesis,
@@ -770,7 +743,9 @@ mod tests {
             },
             transactions: vec![],
         };
-        pow::mine(&mut block_b.header, 0, 10_000_000).unwrap();
+        while block_b.hash() < a_hash {
+            block_b.header.nonce += 1;
+        }
         let b_hash = block_b.hash();
         assert_eq!(
             chain.import(block_b, &mut NullRuntime),
@@ -782,7 +757,7 @@ mod tests {
         // parent is only read to fill in the header, so borrow it in place
         // instead of cloning the whole block.
         let parent_b = chain.block(&b_hash).unwrap();
-        let mut block_c = Block {
+        let block_c = Block {
             header: Header {
                 parent: b_hash,
                 number: 2,
@@ -797,7 +772,6 @@ mod tests {
             },
             transactions: vec![],
         };
-        pow::mine(&mut block_c.header, 0, 10_000_000).unwrap();
         let outcome = chain.import(block_c, &mut NullRuntime).unwrap();
         assert_eq!(outcome, ImportOutcome::Reorged { old_head: a_hash });
         assert_eq!(chain.height(), 2);
@@ -811,7 +785,7 @@ mod tests {
         let k = key(11);
         let mut chain = low_difficulty_chain(&[k.address()]);
         for i in 1..=3u64 {
-            let b = sealed_block(&chain, k.address(), vec![], i * 1_000);
+            let b = candidate(&chain, k.address(), vec![], i * 1_000);
             chain.import(b, &mut NullRuntime).unwrap();
         }
         assert_eq!(chain.block_by_number(0).unwrap().number(), 0);
@@ -826,7 +800,7 @@ mod tests {
         // Fast blocks (1 ms apart) push difficulty up from 16.
         let mut last_difficulty = 16u128;
         for i in 1..=5u64 {
-            let b = sealed_block(&chain, k.address(), vec![], i * 1_000_000);
+            let b = candidate(&chain, k.address(), vec![], i * 1_000_000);
             assert!(b.header.difficulty >= last_difficulty);
             last_difficulty = b.header.difficulty;
             chain.import(b, &mut NullRuntime).unwrap();
@@ -839,7 +813,7 @@ mod tests {
         let mut chain = low_difficulty_chain(&[k.address()]);
         // Genesis at t=0; blocks at 10, 25, 45 -> intervals 10, 15, 20 (ns).
         for ts in [10u64, 25, 45] {
-            let b = sealed_block(&chain, k.address(), vec![], ts);
+            let b = candidate(&chain, k.address(), vec![], ts);
             chain.import(b, &mut NullRuntime).unwrap();
         }
         let head = chain.head();
@@ -870,7 +844,7 @@ mod tests {
         let k = key(32);
         let spec =
             GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(100_000);
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated)
+        let mut chain = Blockchain::new(&spec)
             .with_retarget_rule(crate::retarget::RetargetRule::MovingAverage { window: 4 });
         // Blocks arriving far faster than the 13 s target.
         let step = pow::TARGET_BLOCK_TIME_NS / 4;
@@ -900,7 +874,7 @@ mod tests {
     fn homestead_candidate_difficulty_matches_pow_helper() {
         let k = key(33);
         let mut chain = low_difficulty_chain(&[k.address()]);
-        let b1 = sealed_block(&chain, k.address(), vec![], 1_000);
+        let b1 = candidate(&chain, k.address(), vec![], 1_000);
         chain.import(b1, &mut NullRuntime).unwrap();
         let parent = chain.head_block().header.clone();
         let ts = parent.timestamp_ns + 5_000_000_000;
@@ -918,7 +892,7 @@ mod tests {
     /// Builds a chain of `n` simulated blocks, each carrying one transfer,
     /// so every block's state differs from its parent's.
     fn transfer_chain(k: &KeyPair, n: u64) -> Blockchain {
-        let mut chain = Blockchain::with_seal_policy(&transfer_spec(k), SealPolicy::Simulated);
+        let mut chain = Blockchain::new(&transfer_spec(k));
         for i in 0..n {
             let tx = Transaction::transfer(k.address(), key(99).address(), 1, i).signed(k);
             let b = chain.build_candidate(k.address(), vec![tx], (i + 1) * 1_000, &mut NullRuntime);

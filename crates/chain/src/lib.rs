@@ -4,17 +4,18 @@
 //! The paper deploys its federated-learning system on a private Ethereum
 //! network (Geth, PoW). This crate reproduces the pieces that experiment
 //! actually exercises: signed transactions with gas accounting (including the
-//! "transaction size exceeds the model size" payload metering), PoW with
-//! difficulty retargeting, mempools, full block validation with re-execution,
-//! and total-difficulty fork choice with reorg support. Contract execution is
-//! delegated through [`runtime::ContractRuntime`] so `blockfed-vm` can plug in
-//! both a bytecode VM and the native federated-learning registry.
+//! "transaction size exceeds the model size" payload metering), PoW
+//! difficulty and its retargeting, mempools, full block validation with
+//! re-execution, and total-difficulty fork choice with reorg support. The
+//! mining race itself is simulated: [`pow::sample_mining_delay`] draws who
+//! seals when, and import trusts the seal (see [`SealPolicy`]). Contract
+//! execution is delegated through [`runtime::ContractRuntime`] so
+//! `blockfed-vm` can plug in the native federated-learning registry.
 //!
 //! # Examples
 //!
 //! ```
 //! use blockfed_chain::{Blockchain, GenesisSpec, NullRuntime, Transaction};
-//! use blockfed_chain::pow::mine;
 //! use blockfed_crypto::KeyPair;
 //! use rand::SeedableRng;
 //!
@@ -23,8 +24,8 @@
 //! let spec = GenesisSpec::with_accounts(&[key.address()], 1_000_000).with_difficulty(16);
 //! let mut chain = Blockchain::new(&spec);
 //! let tx = Transaction::transfer(key.address(), key.address(), 1, 0).signed(&key);
-//! let mut block = chain.build_candidate(key.address(), vec![tx], 1_000, &mut NullRuntime);
-//! mine(&mut block.header, 0, u64::MAX).unwrap();
+//! // An unmined candidate imports: the simulated race already picked its sealer.
+//! let block = chain.build_candidate(key.address(), vec![tx], 1_000, &mut NullRuntime);
 //! chain.import(block, &mut NullRuntime).unwrap();
 //! assert_eq!(chain.height(), 1);
 //! ```

@@ -1,8 +1,8 @@
 //! The contract-execution interface the chain delegates to.
 //!
 //! The chain crate stays VM-agnostic: block execution calls into a
-//! [`ContractRuntime`], and `blockfed-vm` supplies the real implementations
-//! (the MiniVM bytecode interpreter and the native FL registry).
+//! [`ContractRuntime`], and `blockfed-vm` supplies the real implementation
+//! (the native FL registry).
 
 use blockfed_crypto::H160;
 

@@ -1,9 +1,9 @@
 //! The workspace-wide parallel compute layer.
 //!
 //! Every hot path in `blockfed` — dense kernels in `blockfed-tensor`,
-//! training in `blockfed-nn`, aggregation in `blockfed-fl`, and nonce search
-//! in `blockfed-chain` — parallelizes through the primitives here rather than
-//! spawning threads ad hoc, so one environment knob controls the whole stack:
+//! training in `blockfed-nn` and aggregation in `blockfed-fl` — parallelizes
+//! through the primitives here rather than spawning threads ad hoc, so one
+//! environment knob controls the whole stack:
 //!
 //! * `BLOCKFED_THREADS=N` forces the worker count (`1` gives fully
 //!   deterministic single-threaded execution for CI);
@@ -298,69 +298,6 @@ where
         .collect()
 }
 
-/// A deterministic parallel search over `start..start + len` in ascending
-/// blocks of `block` items: returns the smallest index for which `pred` is
-/// true, or `None`.
-///
-/// Workers claim blocks from a shared counter and stop claiming once a hit in
-/// an earlier block is known, so the result equals the sequential scan's
-/// while wall-clock scales with workers. Used by the PoW nonce search.
-pub fn par_find_first<F>(start: u64, len: u64, block: u64, pred: F) -> Option<u64>
-where
-    F: Fn(u64) -> bool + Sync,
-{
-    if len == 0 {
-        return None;
-    }
-    let block = block.max(1);
-    let threads = num_threads();
-    if threads <= 1 || len <= block {
-        // Wrapping like the worker loop, so ranges crossing u64::MAX yield
-        // the same result at every thread count.
-        return (0..len)
-            .map(|off| start.wrapping_add(off))
-            .find(|&i| pred(i));
-    }
-    let blocks = len.div_ceil(block);
-    let next_block = AtomicUsize::new(0);
-    // Best hit so far, encoded as the candidate's offset from `start`
-    // (u64::MAX = none). Monotonically decreasing via fetch_min.
-    let best = std::sync::atomic::AtomicU64::new(u64::MAX);
-    let worker = || {
-        loop {
-            let b = next_block.fetch_add(1, Ordering::Relaxed) as u64;
-            if b >= blocks {
-                break;
-            }
-            // A hit in an earlier block beats anything this block finds.
-            if best.load(Ordering::Relaxed) < b * block {
-                break;
-            }
-            let lo = b * block;
-            let hi = len.min(lo.saturating_add(block));
-            for off in lo..hi {
-                if best.load(Ordering::Relaxed) <= off {
-                    break;
-                }
-                if pred(start.wrapping_add(off)) {
-                    best.fetch_min(off, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| run_in_region(worker));
-        }
-        run_in_region(worker);
-    });
-    match best.load(Ordering::Relaxed) {
-        u64::MAX => None,
-        off => Some(start.wrapping_add(off)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,36 +392,6 @@ mod tests {
         assert!(seen.iter().all(|&t| t == 1), "nested num_threads: {seen:?}");
         // Outside the region, the override is visible again.
         assert_eq!(num_threads(), 4);
-        set_threads(0);
-    }
-
-    #[test]
-    fn par_find_first_wraps_identically_at_every_thread_count() {
-        let _g = guard();
-        // Range crossing u64::MAX: the hit lies past the wrap point.
-        let start = u64::MAX - 100;
-        let target = start.wrapping_add(5_000);
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 8] {
-            set_threads(threads);
-            results.push(par_find_first(start, 10_000, 64, |x| x == target));
-        }
-        set_threads(0);
-        assert!(results.iter().all(|r| *r == Some(target)), "{results:?}");
-    }
-
-    #[test]
-    fn par_find_first_matches_sequential_scan() {
-        let _g = guard();
-        let pred = |x: u64| x % 97 == 13;
-        let sequential = (1000u64..1000 + 5000).find(|&x| pred(x));
-        for threads in [1usize, 2, 8] {
-            set_threads(threads);
-            assert_eq!(par_find_first(1000, 5000, 64, pred), sequential);
-            assert_eq!(par_find_first(0, 10, 4, |_| false), None);
-            // First item matching.
-            assert_eq!(par_find_first(5, 100, 8, |x| x >= 5), Some(5));
-        }
         set_threads(0);
     }
 

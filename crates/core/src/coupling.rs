@@ -258,7 +258,7 @@ pub fn confirmed_aggregates(chain: &Blockchain, registry: H160) -> Vec<Confirmed
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockfed_chain::{GenesisSpec, SealPolicy};
+    use blockfed_chain::GenesisSpec;
     use blockfed_fl::ClientId;
     use blockfed_vm::BlockfedRuntime;
     use rand::rngs::StdRng;
@@ -316,7 +316,7 @@ mod tests {
         let registry = registry_addr();
         let spec = GenesisSpec::with_accounts(&[k.address()], u64::MAX / 4)
             .with_code(registry, blockfed_vm::NATIVE_REGISTRY_CODE.to_vec());
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut chain = Blockchain::new(&spec);
         let mut runtime = BlockfedRuntime::new();
         runtime.register_native(registry, blockfed_vm::NativeContract::FlRegistry);
 
@@ -354,7 +354,7 @@ mod tests {
         let registry = registry_addr();
         let spec = GenesisSpec::with_accounts(&[k.address()], u64::MAX / 4)
             .with_code(registry, blockfed_vm::NATIVE_REGISTRY_CODE.to_vec());
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut chain = Blockchain::new(&spec);
         let mut runtime = BlockfedRuntime::new();
         runtime.register_native(registry, blockfed_vm::NativeContract::FlRegistry);
 
@@ -389,7 +389,7 @@ mod tests {
         let registry = registry_addr();
         let spec = GenesisSpec::with_accounts(&addrs, u64::MAX / 4)
             .with_code(registry, blockfed_vm::NATIVE_REGISTRY_CODE.to_vec());
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut chain = Blockchain::new(&spec);
         let mut runtime = BlockfedRuntime::new();
         runtime.register_native(registry, blockfed_vm::NativeContract::FlRegistry);
 
@@ -426,7 +426,7 @@ mod tests {
         let registry = registry_addr();
         let spec = GenesisSpec::with_accounts(&[k.address()], u64::MAX / 4)
             .with_code(registry, blockfed_vm::NATIVE_REGISTRY_CODE.to_vec());
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut chain = Blockchain::new(&spec);
         let mut runtime = BlockfedRuntime::new();
         runtime.register_native(registry, blockfed_vm::NativeContract::FlRegistry);
 

@@ -144,7 +144,7 @@ pub fn verify_evidence(
 mod tests {
     use super::*;
     use crate::coupling::{register_tx, submit_model_tx};
-    use blockfed_chain::{GenesisSpec, SealPolicy};
+    use blockfed_chain::GenesisSpec;
     use blockfed_crypto::KeyPair;
     use blockfed_fl::ClientId;
     use blockfed_vm::BlockfedRuntime;
@@ -168,7 +168,7 @@ mod tests {
         let registry = H160::from_bytes(reg_bytes);
         let spec = GenesisSpec::with_accounts(&addrs, u64::MAX / 4)
             .with_code(registry, blockfed_vm::NATIVE_REGISTRY_CODE.to_vec());
-        let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+        let mut chain = Blockchain::new(&spec);
         let mut runtime = BlockfedRuntime::new();
         runtime.register_native(registry, blockfed_vm::NativeContract::FlRegistry);
 

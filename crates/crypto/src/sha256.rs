@@ -51,45 +51,6 @@ impl Default for Sha256 {
     }
 }
 
-/// A snapshot of the compression state at a 64-byte block boundary.
-///
-/// Hashing many messages that share a long fixed prefix (the proof-of-work
-/// hot path: every nonce attempt re-hashes the same header prefix) wastes a
-/// compression call per shared block. Capture the state once with
-/// [`Sha256::midstate`] and resume per message with
-/// [`Sha256::from_midstate`]; the digest is identical to hashing the whole
-/// message from scratch.
-///
-/// # Examples
-///
-/// ```
-/// use blockfed_crypto::sha256::{sha256, Sha256};
-///
-/// let prefix = [0xAB; 64]; // one full block
-/// let mut h = Sha256::new();
-/// h.update(&prefix);
-/// let mid = h.midstate().expect("on a block boundary");
-/// for suffix in [b"one", b"two"] {
-///     let mut resumed = Sha256::from_midstate(mid);
-///     resumed.update(suffix);
-///     let mut scratch = Vec::from(prefix);
-///     scratch.extend_from_slice(suffix);
-///     assert_eq!(resumed.finalize(), sha256(&scratch));
-/// }
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Midstate {
-    state: [u32; 8],
-    processed: u64,
-}
-
-impl Midstate {
-    /// Bytes already absorbed into this state (a multiple of 64).
-    pub fn processed_bytes(&self) -> u64 {
-        self.processed
-    }
-}
-
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
@@ -98,26 +59,6 @@ impl Sha256 {
             buffer: [0u8; 64],
             buffer_len: 0,
             total_len: 0,
-        }
-    }
-
-    /// Captures the compression state, or `None` if unabsorbed bytes sit in
-    /// the buffer (midstates only exist at 64-byte boundaries).
-    pub fn midstate(&self) -> Option<Midstate> {
-        (self.buffer_len == 0).then_some(Midstate {
-            state: self.state,
-            processed: self.total_len,
-        })
-    }
-
-    /// Resumes hashing from a captured [`Midstate`].
-    pub fn from_midstate(mid: Midstate) -> Self {
-        debug_assert_eq!(mid.processed % 64, 0, "midstate off a block boundary");
-        Sha256 {
-            state: mid.state,
-            buffer: [0u8; 64],
-            buffer_len: 0,
-            total_len: mid.processed,
         }
     }
 
@@ -316,38 +257,6 @@ mod tests {
             sha256(&data).to_hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
         );
-    }
-
-    #[test]
-    fn midstate_resume_matches_oneshot() {
-        let data: Vec<u8> = (0..512u32).map(|i| (i * 7 % 251) as u8).collect();
-        for boundary in [64usize, 128, 256, 448] {
-            let mut h = Sha256::new();
-            h.update(&data[..boundary]);
-            let mid = h.midstate().expect("block boundary");
-            assert_eq!(mid.processed_bytes(), boundary as u64);
-            let mut resumed = Sha256::from_midstate(mid);
-            resumed.update(&data[boundary..]);
-            assert_eq!(resumed.finalize(), sha256(&data), "boundary {boundary}");
-        }
-    }
-
-    #[test]
-    fn midstate_unavailable_off_boundary() {
-        let mut h = Sha256::new();
-        h.update(&[1, 2, 3]);
-        assert!(h.midstate().is_none());
-        h.update(&[0u8; 61]);
-        assert!(h.midstate().is_some());
-    }
-
-    #[test]
-    fn fresh_hasher_midstate_is_initial() {
-        // Resuming a virgin midstate behaves exactly like a fresh hasher.
-        let mid = Sha256::new().midstate().expect("empty buffer");
-        let mut h = Sha256::from_midstate(mid);
-        h.update(b"abc");
-        assert_eq!(h.finalize(), sha256(b"abc"));
     }
 
     #[test]

@@ -223,53 +223,6 @@ impl Layer for Relu {
     }
 }
 
-/// Elementwise tanh.
-#[derive(Clone, Default)]
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new() -> Self {
-        Tanh {
-            cached_output: None,
-        }
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = input.map(f32::tanh);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward called without a training forward pass");
-        grad.zip_map(out, |g, y| g * (1.0 - y * y))
-    }
-
-    fn visit_params(&self, _f: &mut dyn FnMut(&Tensor)) {}
-    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
-    fn visit_grads(&self, _f: &mut dyn FnMut(&Tensor)) {}
-    fn visit_grads_mut(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
-    fn zero_grads(&mut self) {}
-
-    fn box_clone(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-}
-
 /// Wraps a layer and freezes it: forward passes through, but the inner
 /// parameters are hidden from optimizers and federated serialization, and the
 /// backward pass still propagates input gradients without accumulating any.
@@ -414,16 +367,6 @@ mod tests {
         assert_eq!(y.as_slice(), &[0.0, 2.0]);
         let dx = relu.backward(&Tensor::ones(&[1, 2]));
         assert_eq!(dx.as_slice(), &[0.0, 1.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_matches_identity() {
-        let mut tanh = Tanh::new();
-        let x = Tensor::from_vec(vec![0.0], &[1, 1]);
-        let _ = tanh.forward(&x, true);
-        let dx = tanh.backward(&Tensor::ones(&[1, 1]));
-        // d tanh(0) = 1.
-        assert!((dx.get(&[0, 0]) - 1.0).abs() < 1e-6);
     }
 
     #[test]

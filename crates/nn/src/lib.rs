@@ -35,7 +35,7 @@ pub mod optim;
 pub mod serialize;
 pub mod zoo;
 
-pub use layer::{Frozen, Layer, Linear, Relu, Tanh};
+pub use layer::{Frozen, Layer, Linear, Relu};
 pub use metrics::ConfusionMatrix;
 pub use model::{train_shards, EvalResult, Sequential, MAX_TRAIN_SHARDS};
 pub use optim::Sgd;

@@ -33,19 +33,6 @@ pub fn xavier_uniform<R: Rng + ?Sized>(
     uniform(rng, shape, limit)
 }
 
-/// He/Kaiming initialization (normal, std `sqrt(2/fan_in)`), suited to ReLU nets.
-///
-/// # Panics
-///
-/// Panics if `fan_in` is zero.
-pub fn he_normal<R: Rng + ?Sized>(rng: &mut R, shape: &[usize], fan_in: usize) -> Tensor {
-    assert!(fan_in > 0, "fan_in must be positive");
-    let std = (2.0 / fan_in as f32).sqrt();
-    let n: usize = shape.iter().product();
-    let data = (0..n).map(|_| gaussian(rng) * std).collect();
-    Tensor::from_vec(data, shape)
-}
-
 /// A standard-normal sample via Box–Muller.
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
@@ -78,24 +65,6 @@ mod tests {
             .iter()
             .fold(0.0f32, |m, &v| m.max(v.abs()));
         assert!(max_wide < max_narrow);
-    }
-
-    #[test]
-    fn he_normal_std_is_plausible() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = he_normal(&mut rng, &[20_000], 50);
-        let mean = t.mean();
-        let var = t
-            .as_slice()
-            .iter()
-            .map(|&v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / t.numel() as f32;
-        let expected = 2.0 / 50.0;
-        assert!(
-            (var - expected).abs() < expected * 0.2,
-            "var {var} vs {expected}"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Provides the [`Tensor`] type (row-major, shape-checked), matrix
 //! multiplication kernels tuned for dense-layer forward/backward passes,
-//! im2col convolution, weight initializers, and the numerically careful
+//! weight initializers, and the numerically careful
 //! softmax/accuracy operations the federated-learning evaluation relies on.
 //!
 //! # Examples
@@ -20,12 +20,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conv;
 pub mod init;
 pub mod matmul;
 pub mod ops;
 pub mod tensor;
 
-pub use conv::{conv2d_forward, global_avg_pool, im2col, Conv2dSpec};
 pub use matmul::{matmul, matmul_at, matmul_bt};
 pub use tensor::Tensor;

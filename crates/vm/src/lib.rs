@@ -1,54 +1,47 @@
-//! Smart-contract execution for `blockfed`: the MiniVM bytecode interpreter
-//! and the native federated-learning registry contract.
+//! Smart-contract execution for `blockfed`: the native federated-learning
+//! registry contract.
 //!
 //! The paper implements its asynchronous aggregation as a Solidity contract on
-//! private Ethereum. Here the same observable behaviour is provided twice:
+//! private Ethereum. Here [`registry`] provides the same observable behaviour
+//! as a native contract (register, submit model fingerprints per round, record
+//! chosen aggregates) behind the chain's `ContractRuntime` interface, and
+//! [`mask`] encodes which participants entered an aggregate.
 //!
-//! * [`interp`] — MiniVM, a small EVM-flavoured stack machine with storage,
-//!   gas metering, jumps and revert semantics (plus [`asm`], an assembler for
-//!   writing contracts readably), and
-//! * [`registry`] — the FL registry as a native contract (register, submit
-//!   model fingerprints per round, record chosen aggregates) exposed through
-//!   the same `ContractRuntime` interface and cross-checked against MiniVM
-//!   programs in tests.
-//!
-//! [`BlockfedRuntime`] is the dispatcher the chain executes blocks with.
+//! [`BlockfedRuntime`] is the dispatcher the chain executes blocks with: it
+//! runs the registry at the addresses it was installed at and reverts a call
+//! to any other code.
 //!
 //! # Examples
 //!
 //! ```
-//! use blockfed_vm::{asm::assemble, BlockfedRuntime};
+//! use blockfed_vm::{parse_u64, BlockfedRuntime, RegistryCall, NATIVE_REGISTRY_CODE};
 //! use blockfed_chain::{CallContext, ContractRuntime, State};
 //! use blockfed_crypto::H160;
 //!
 //! let mut rt = BlockfedRuntime::new();
 //! let mut state = State::new();
-//! let code = assemble("PUSH8 2\nPUSH8 40\nADD\nPUSH8 1\nRETURN")?;
+//! let registry = H160::from_bytes([0xEE; 20]);
+//! rt.install_fl_registry(&mut state, registry);
 //! let ctx = CallContext {
 //!     caller: H160::zero(),
-//!     contract: H160::zero(),
-//!     calldata: vec![],
-//!     gas_budget: 10_000,
+//!     contract: registry,
+//!     calldata: RegistryCall::Register.encode(),
+//!     gas_budget: 100_000,
 //!     block_number: 0,
 //!     timestamp_ns: 0,
 //! };
-//! let out = rt.execute(&ctx, &code, &mut state);
+//! let out = rt.execute(&ctx, NATIVE_REGISTRY_CODE, &mut state);
 //! assert!(out.success);
-//! assert_eq!(out.output[31], 42);
-//! # Ok::<(), blockfed_vm::asm::AsmError>(())
+//! assert_eq!(parse_u64(&out.output), Some(0)); // the first participant's index
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod asm;
-pub mod interp;
 pub mod mask;
-pub mod opcode;
 pub mod registry;
 pub mod runtime;
 
 pub use mask::{ComboMask, MASK_STORAGE_WORDS, MAX_MASK_BITS, MAX_MASK_BYTES};
-pub use opcode::Opcode;
 pub use registry::{parse_aggregate, parse_submission, parse_u64, RegistryCall};
 pub use runtime::{BlockfedRuntime, NativeContract, NATIVE_REGISTRY_CODE};

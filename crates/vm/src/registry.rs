@@ -293,8 +293,7 @@ fn get_mask(state: &State, contract: &H160, base: &[u8]) -> Option<ComboMask> {
     ComboMask::from_words(&words, len)
 }
 
-/// Executes a registry call. Used both directly (by the native runtime) and by
-/// tests comparing against the MiniVM path.
+/// Executes a registry call: the native runtime's dispatch target.
 pub fn execute_registry(ctx: &CallContext, state: &mut State) -> ExecOutcome {
     let revert = || ExecOutcome::reverted(REGISTRY_OP_GAS.min(ctx.gas_budget));
     if ctx.gas_budget < REGISTRY_OP_GAS {

@@ -1,19 +1,18 @@
-//! The contract runtime wired into the chain: MiniVM bytecode by default,
-//! native contracts (the FL registry) at registered addresses.
+//! The contract runtime wired into the chain: native contracts (the FL
+//! registry) at registered addresses; a call to any other code reverts.
 
 use std::collections::HashMap;
 
 use blockfed_chain::{CallContext, ContractRuntime, ExecOutcome, State};
 use blockfed_crypto::H160;
 
-use crate::interp;
 use crate::registry::execute_registry;
 
 /// Marker installed as "code" at native contract addresses so the chain
 /// executor recognizes the account as a contract.
 pub const NATIVE_REGISTRY_CODE: &[u8] = b"native:blockfed-fl-registry";
 
-/// The production runtime: dispatches to natives, falls back to MiniVM.
+/// The production runtime: dispatches to natives and reverts any other call.
 #[derive(Debug, Default)]
 pub struct BlockfedRuntime {
     natives: HashMap<H160, NativeContract>,
@@ -27,7 +26,7 @@ pub enum NativeContract {
 }
 
 impl BlockfedRuntime {
-    /// A runtime with no natives (pure MiniVM).
+    /// A runtime with no natives (every contract call reverts).
     pub fn new() -> Self {
         BlockfedRuntime::default()
     }
@@ -51,17 +50,19 @@ impl BlockfedRuntime {
 }
 
 impl ContractRuntime for BlockfedRuntime {
-    fn execute(&mut self, ctx: &CallContext, code: &[u8], state: &mut State) -> ExecOutcome {
+    fn execute(&mut self, ctx: &CallContext, _code: &[u8], state: &mut State) -> ExecOutcome {
         match self.natives.get(&ctx.contract) {
             Some(NativeContract::FlRegistry) => execute_registry(ctx, state),
-            None => interp::run(ctx, code, state),
+            // Non-native code is invalid code: EVM semantics revert the call
+            // and consume the whole budget.
+            None => ExecOutcome::reverted(ctx.gas_budget),
         }
     }
 
     fn execution_fingerprint(&self) -> u64 {
-        // MiniVM semantics plus the registered native set: two instances
-        // execute identically iff they dispatch the same natives at the same
-        // addresses, so fold each (address, kind) pair in order-independently.
+        // The registered native set: two instances execute identically iff
+        // they dispatch the same natives at the same addresses, so fold each
+        // (address, kind) pair in order-independently.
         let mut acc: u64 = 0xB10C_FEED_0000_0001;
         for (addr, native) in &self.natives {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
@@ -80,7 +81,6 @@ impl ContractRuntime for BlockfedRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::assemble;
     use crate::registry::{parse_u64, RegistryCall};
 
     fn addr(n: u8) -> H160 {
@@ -119,49 +119,16 @@ mod tests {
     }
 
     #[test]
-    fn falls_back_to_minivm_for_plain_contracts() {
+    fn non_native_code_reverts_within_budget() {
         let mut rt = BlockfedRuntime::new();
         let mut state = State::new();
-        let contract = addr(0xCD);
-        let code = assemble("PUSH8 40\nPUSH8 2\nADD\nPUSH8 1\nRETURN").unwrap();
-        let out = rt.execute(&ctx(addr(1), contract, vec![]), &code, &mut state);
-        assert!(out.success);
-        assert_eq!(out.output[31], 42);
-    }
-
-    /// The same "counter" behaviour implemented (a) as MiniVM bytecode and
-    /// (b) directly against storage must agree — the check that bytecode and
-    /// native contracts share one storage semantics.
-    #[test]
-    fn minivm_counter_matches_native_semantics() {
-        // Counter: slot 0 += calldata[0..32] (as a word); returns new value.
-        let src = "\
-PUSH8 0
-SLOAD
-PUSH8 0
-CALLDATALOAD
-ADD
-DUP1
-PUSH8 0
-SSTORE
-PUSH8 1
-RETURN";
-        let code = assemble(src).unwrap();
-        let mut rt = BlockfedRuntime::new();
-        let mut vm_state = State::new();
-        let contract = addr(0x77);
-
-        let mut native_counter: u64 = 0;
-        for add in [5u64, 10, 1] {
-            let mut calldata = vec![0u8; 32];
-            calldata[24..].copy_from_slice(&add.to_be_bytes());
-            let out = rt.execute(&ctx(addr(1), contract, calldata), &code, &mut vm_state);
-            assert!(out.success);
-            native_counter += add; // the "native" implementation
-            let mut expect = [0u8; 32];
-            expect[24..].copy_from_slice(&native_counter.to_be_bytes());
-            assert_eq!(out.output, expect.to_vec(), "after adding {add}");
-        }
+        state.credit(addr(2), 5);
+        let before = state.root();
+        let call = ctx(addr(1), addr(0xCD), vec![]);
+        let out = rt.execute(&call, &[0x60, 0x01, 0x00], &mut state);
+        assert!(!out.success);
+        assert_eq!(out.gas_used, call.gas_budget);
+        assert_eq!(state.root(), before);
     }
 
     #[test]
@@ -171,7 +138,7 @@ RETURN";
         let registry = addr(0xEE);
         rt.install_fl_registry(&mut state, registry);
         // Even if someone hands us bytecode for this address, the native wins.
-        let bytecode = assemble("PUSH8 1\nPUSH8 1\nRETURN").unwrap();
+        let bytecode = [0x01, 0x01, 0x01, 0x01];
         let out = rt.execute(
             &ctx(addr(1), registry, RegistryCall::ParticipantCount.encode()),
             &bytecode,

@@ -6,7 +6,7 @@
 //! cargo run --release --example nonrepudiation_audit
 //! ```
 
-use blockfed::chain::{Blockchain, GenesisSpec, SealPolicy};
+use blockfed::chain::{Blockchain, GenesisSpec};
 use blockfed::core::{
     collect_evidence, register_tx, submit_model_tx, verify_evidence, AuditError, Decentralized,
     DecentralizedConfig,
@@ -107,7 +107,7 @@ fn manual_evidence_demo() {
     let registry = blockfed::crypto::H160::from_bytes(reg_bytes);
     let spec = GenesisSpec::with_accounts(&addrs, u64::MAX / 4)
         .with_code(registry, NATIVE_REGISTRY_CODE.to_vec());
-    let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+    let mut chain = Blockchain::new(&spec);
     let mut runtime = BlockfedRuntime::new();
     runtime.register_native(registry, NativeContract::FlRegistry);
 

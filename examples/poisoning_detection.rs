@@ -6,7 +6,7 @@
 //! cargo run --release --example poisoning_detection
 //! ```
 
-use blockfed::chain::{Blockchain, GenesisSpec, SealPolicy};
+use blockfed::chain::{Blockchain, GenesisSpec};
 use blockfed::core::{
     collect_evidence, detect_norm_outliers, register_tx, submit_model_tx, verify_evidence,
 };
@@ -89,7 +89,7 @@ fn main() {
     let registry = H160::from_bytes([0xEE; 20]);
     let spec = GenesisSpec::with_accounts(&addrs, u64::MAX / 4)
         .with_code(registry, NATIVE_REGISTRY_CODE.to_vec());
-    let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+    let mut chain = Blockchain::new(&spec);
     let mut runtime = BlockfedRuntime::new();
     runtime.register_native(registry, NativeContract::FlRegistry);
 

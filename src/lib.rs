@@ -20,7 +20,7 @@
 //! | [`sim`] | `blockfed-sim` | deterministic discrete-event kernel |
 //! | [`crypto`] | `blockfed-crypto` | SHA-256, secp256k1 Schnorr, merkle trees |
 //! | [`chain`] | `blockfed-chain` | PoW blockchain (blocks, gas, mempool, forks) |
-//! | [`vm`] | `blockfed-vm` | MiniVM + the FL registry contract |
+//! | [`vm`] | `blockfed-vm` | the native FL registry contract and its runtime |
 //! | [`net`] | `blockfed-net` | p2p latency/bandwidth/loss simulation |
 //! | [`tensor`] | `blockfed-tensor` | dense f32 tensor math |
 //! | [`nn`] | `blockfed-nn` | layers, SGD, the SimpleNN / Efficient-B0 zoo |

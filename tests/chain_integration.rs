@@ -2,7 +2,7 @@
 //! registry: mempool-to-block pipelines, reorg behaviour, and the
 //! non-repudiation audit across chain views.
 
-use blockfed::chain::{pow, Blockchain, GenesisSpec, Mempool, SealPolicy, Transaction};
+use blockfed::chain::{pow, Blockchain, GenesisSpec, Mempool, Transaction};
 use blockfed::core::{
     collect_evidence, confirmed_submissions, register_tx, submit_model_tx, verify_evidence,
 };
@@ -33,7 +33,7 @@ fn world(peers: usize, difficulty: u128) -> World {
     let mut runtime = BlockfedRuntime::new();
     runtime.register_native(registry, NativeContract::FlRegistry);
     World {
-        chain: Blockchain::with_seal_policy(&spec, SealPolicy::Simulated),
+        chain: Blockchain::new(&spec),
         runtime,
         keys,
         registry,
@@ -42,7 +42,7 @@ fn world(peers: usize, difficulty: u128) -> World {
 
 #[test]
 fn mempool_to_block_pipeline_with_real_pow() {
-    // Full seal checking at low difficulty: mine a real nonce.
+    // Seal at low difficulty with a real nonce search before import.
     let keys: Vec<KeyPair> = (0..2)
         .map(|s| KeyPair::generate(&mut StdRng::seed_from_u64(s + 50)))
         .collect();
@@ -51,7 +51,7 @@ fn mempool_to_block_pipeline_with_real_pow() {
     let spec = GenesisSpec::with_accounts(&addrs, u64::MAX / 4)
         .with_difficulty(64)
         .with_code(registry, NATIVE_REGISTRY_CODE.to_vec());
-    let mut chain = Blockchain::new(&spec); // SealPolicy::Full
+    let mut chain = Blockchain::new(&spec);
     let mut runtime = BlockfedRuntime::new();
     runtime.register_native(registry, NativeContract::FlRegistry);
 
@@ -63,7 +63,10 @@ fn mempool_to_block_pipeline_with_real_pow() {
     let txs = pool.select(&state, u64::MAX, 10);
     assert_eq!(txs.len(), 2);
     let mut block = chain.build_candidate(addrs[0], txs, 1_000, &mut runtime);
-    pow::mine(&mut block.header, 0, u64::MAX).expect("difficulty 64 mines fast");
+    while !pow::seal_valid(&block.header) {
+        block.header.nonce += 1;
+    }
+    assert!(pow::hash_meets(block.hash(), 64));
     chain.import(block, &mut runtime).unwrap();
     let state = chain.state().clone();
     pool.prune(&state);

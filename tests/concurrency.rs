@@ -5,7 +5,7 @@
 //! exchange blocks — the eventual-consistency property total-difficulty fork
 //! choice provides.
 
-use blockfed::chain::{Blockchain, GenesisSpec, ImportError, NullRuntime, SealPolicy};
+use blockfed::chain::{Blockchain, GenesisSpec, ImportError, NullRuntime};
 use blockfed::crypto::KeyPair;
 use crossbeam::channel;
 use parking_lot::Mutex;
@@ -69,7 +69,7 @@ fn threaded_miners_converge_on_one_canonical_chain() {
             let my_rx = receivers[me].clone();
             let log = Arc::clone(&sealed_log);
             std::thread::spawn(move || {
-                let mut chain = Blockchain::with_seal_policy(&spec, SealPolicy::Simulated);
+                let mut chain = Blockchain::new(&spec);
                 let mut orphans: Vec<blockfed::chain::Block> = Vec::new();
                 for round in 0..BLOCKS_PER_PEER {
                     // Drain incoming blocks (with orphan retry for ordering).

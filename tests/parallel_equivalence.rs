@@ -9,11 +9,9 @@
 
 mod common;
 
-use blockfed::chain::pow;
-use blockfed::crypto::sha256::sha256;
 use blockfed::fl::{fed_avg, ClientId, ModelUpdate};
 use blockfed::tensor::ops::{clip, log_softmax_rows, relu, softmax_rows};
-use blockfed::tensor::{conv2d_forward, im2col, matmul, Conv2dSpec, Tensor};
+use blockfed::tensor::{matmul, Tensor};
 use blockfed::tensor::{matmul_at, matmul_bt};
 use common::thread_guard;
 use proptest::prelude::*;
@@ -72,31 +70,6 @@ fn matmul_variants_bit_match_reference_on_edge_and_large_shapes() {
 }
 
 #[test]
-fn conv_kernels_are_thread_count_invariant() {
-    let mut rng = StdRng::seed_from_u64(101);
-    let cases = [
-        // (n, c, h, w, out_channels, kernel, stride, padding)
-        (1, 1, 5, 5, 1, 3, 1, 1),
-        (2, 3, 9, 9, 4, 3, 2, 0),
-        (2, 8, 16, 16, 16, 3, 1, 1), // large enough to cross the threshold
-    ];
-    for (n, c, h, w, oc, k, stride, padding) in cases {
-        let spec = Conv2dSpec {
-            in_channels: c,
-            out_channels: oc,
-            kernel: k,
-            stride,
-            padding,
-        };
-        let input = random_tensor(&mut rng, &[n, c, h, w]);
-        let weights = random_tensor(&mut rng, &[oc, c * k * k]);
-        let bias = random_tensor(&mut rng, &[oc]);
-        with_threads(|| im2col(&input, &spec));
-        with_threads(|| conv2d_forward(&input, &weights, &bias, &spec));
-    }
-}
-
-#[test]
 fn elementwise_ops_are_thread_count_invariant() {
     let mut rng = StdRng::seed_from_u64(102);
     // Tall enough to cross PAR_THRESHOLD.
@@ -135,28 +108,6 @@ fn fedavg_bit_matches_scalar_reference_at_every_thread_count() {
         let got = with_threads(|| fed_avg(&refs).expect("valid updates"));
         assert_eq!(got, expect, "fed_avg n={n} dim={dim}");
     }
-}
-
-#[test]
-fn pow_mining_is_thread_count_invariant_and_matches_reference() {
-    let header = blockfed::chain::Header {
-        parent: sha256(b"equivalence-parent"),
-        number: 9,
-        timestamp_ns: 123_456_789,
-        miner: blockfed::crypto::H160::from_bytes([7; 20]),
-        difficulty: 64,
-        nonce: 0,
-        tx_root: sha256(b"txs"),
-        state_root: sha256(b"state"),
-        gas_used: 21_000,
-        gas_limit: 1_000_000,
-    };
-    let want = pow::mine_reference(&mut header.clone(), 0, 1_000_000);
-    assert!(want.is_some(), "difficulty 64 should seal");
-    let got_serial = pow::mine(&mut header.clone(), 0, 1_000_000);
-    assert_eq!(got_serial, want);
-    let got = with_threads(|| pow::mine_parallel(&mut header.clone(), 0, 1_000_000));
-    assert_eq!(got, want);
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! Property-based tests of the core invariants, spanning crates.
 
-use blockfed::chain::{DifficultyController, RetargetRule};
+use blockfed::chain::{ContractRuntime, DifficultyController, RetargetRule};
 use blockfed::crypto::{merkle_root, sha256::Sha256, MerkleTree, U256};
 use blockfed::fl::{fed_avg, Attack, ClientId, ModelUpdate, StalenessDecay, WaitPolicy};
 use blockfed::nn::serialize::{decode_params, encode_params};
@@ -276,7 +276,11 @@ proptest! {
             timestamp_ns: 0,
         };
         let mut state = blockfed::chain::State::new();
-        let out = blockfed::vm::interp::run(&ctx, &code, &mut state);
+        state.credit(blockfed::crypto::H160::from_bytes([1; 20]), 5);
+        let before = state.root();
+        let out = blockfed::vm::BlockfedRuntime::new().execute(&ctx, &code, &mut state);
         prop_assert!(out.gas_used <= budget, "gas overrun: {} > {}", out.gas_used, budget);
+        prop_assert!(!out.success, "non-native code must revert");
+        prop_assert_eq!(state.root(), before);
     }
 }
