@@ -3,7 +3,7 @@
 //! `cargo run --release -p blockfed-bench --bin experiments -- all`.
 
 use blockfed_bench::{
-    decentralized_run, prepare, run_chainperf, run_contention, run_table1, run_tradeoff,
+    decentralized_scenario, prepare, run_chainperf, run_contention, run_table1, run_tradeoff,
     vanilla_run, ModelSel, Profile,
 };
 use blockfed_fl::{Strategy, WaitPolicy};
@@ -28,15 +28,18 @@ fn bench_paper_artifacts(c: &mut Criterion) {
 
     // Tables II–IV / Figure 4 constituents.
     g.bench_function("tables234_decentralized_simple", |b| {
-        b.iter(|| decentralized_run(&data, ModelSel::Simple, WaitPolicy::All))
+        let spec = decentralized_scenario(&data, ModelSel::Simple, WaitPolicy::All);
+        b.iter(|| data.run(ModelSel::Simple, &spec))
     });
     g.bench_function("tables234_decentralized_effnet", |b| {
-        b.iter(|| decentralized_run(&data, ModelSel::EffNet, WaitPolicy::All))
+        let spec = decentralized_scenario(&data, ModelSel::EffNet, WaitPolicy::All);
+        b.iter(|| data.run(ModelSel::EffNet, &spec))
     });
 
     // The wait-or-not trade-off.
     g.bench_function("tradeoff_wait1_simple", |b| {
-        b.iter(|| decentralized_run(&data, ModelSel::Simple, WaitPolicy::FirstK(1)))
+        let spec = decentralized_scenario(&data, ModelSel::Simple, WaitPolicy::FirstK(1));
+        b.iter(|| data.run(ModelSel::Simple, &spec))
     });
     g.bench_function("tradeoff_full", |b| b.iter(|| run_tradeoff(&data)));
 

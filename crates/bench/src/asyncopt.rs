@@ -17,9 +17,7 @@
 use blockfed_fl::{Strategy, WaitPolicy};
 use blockfed_report::{fmt_acc, Table};
 
-use crate::{
-    decentralized_run_with_computes, straggler_profiles, vanilla_run, ModelSel, PreparedData,
-};
+use crate::{decentralized_scenario, straggler_profiles, vanilla_run, ModelSel, PreparedData};
 
 /// One row of the wait-for-k sub-study.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +70,8 @@ pub fn run_asyncopt(data: &PreparedData) -> AsyncOptOutput {
         WaitPolicy::FirstK(2),
         WaitPolicy::FirstK(1),
     ] {
-        let run = decentralized_run_with_computes(data, sel, policy, Some(straggler_profiles()));
+        let spec = decentralized_scenario(data, sel, policy).computes(straggler_profiles());
+        let run = data.run(sel, &spec);
         let final_accuracy = (0..3).map(|p| run.final_accuracy(p)).sum::<f64>() / 3.0;
         let age = run.age_of_block();
         let (mut used, mut rounds) = (0usize, 0usize);

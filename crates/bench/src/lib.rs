@@ -11,7 +11,7 @@ pub use asyncopt::{run_asyncopt, AsyncOptOutput};
 pub use poisoning::{run_poisoning, PoisoningOutput};
 pub use sweep::{run_tradeoff_sweep, SweepOutput};
 
-use blockfed_core::{ComputeProfile, DecentralizedConfig, DecentralizedRun};
+use blockfed_core::{ComputeProfile, DecentralizedRun};
 use blockfed_data::{partition_dataset, Dataset, Partition, SynthCifar, SynthCifarConfig};
 use blockfed_fl::{ClientId, Strategy, VanillaFl, VanillaFlConfig, VanillaRun, WaitPolicy};
 use blockfed_net::LinkSpec;
@@ -272,6 +272,17 @@ impl PreparedData {
             ModelSel::EffNet => self.profile.effnet.payload_bytes(),
         }
     }
+
+    /// Runs `spec` through the scenario engine on the selected model's
+    /// shards and per-peer test sets, with its model factory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is invalid or does not have three peers.
+    pub fn run(&self, sel: ModelSel, spec: &ScenarioSpec) -> DecentralizedRun {
+        let mut factory = self.model_factory(sel);
+        spec.run_with(self.shards(sel), self.peer_tests(sel), &mut *factory)
+    }
 }
 
 /// Runs the Vanilla (centralized) FL baseline for one model and strategy.
@@ -299,16 +310,6 @@ pub fn vanilla_run(data: &PreparedData, sel: ModelSel, strategy: Strategy) -> Va
     driver.run(&mut *factory, &mut rng)
 }
 
-/// Runs the decentralized (fully coupled blockchain) experiment for one model
-/// and wait policy, with homogeneous peers (the paper's three identical VMs).
-pub fn decentralized_run(
-    data: &PreparedData,
-    sel: ModelSel,
-    wait_policy: WaitPolicy,
-) -> DecentralizedRun {
-    decentralized_run_with_computes(data, sel, wait_policy, None)
-}
-
 /// Per-peer compute heterogeneity: one fast, one nominal, one straggling peer.
 /// This is the regime where the "wait or not" question has teeth — with
 /// identical peers every model arrives in the same block anyway.
@@ -333,14 +334,12 @@ pub fn straggler_profiles() -> Vec<ComputeProfile> {
 
 /// The declarative scenario every decentralized experiment starts from: the
 /// paper's protocol (10 rounds × 5 epochs), ~13 s blocks, LAN links, three
-/// peers. Experiments refine the spec (adversaries, gates, computes) before
-/// lowering it; the ad-hoc config assembly this harness used to do now lives
-/// in `blockfed-scenario`.
+/// identical peers. Experiments refine the spec (adversaries, gates,
+/// `.computes(straggler_profiles())`) and run it with [`PreparedData::run`].
 pub fn decentralized_scenario(
     data: &PreparedData,
     sel: ModelSel,
     wait_policy: WaitPolicy,
-    per_peer_compute: Option<Vec<ComputeProfile>>,
 ) -> ScenarioSpec {
     let p = &data.profile;
     ScenarioSpec::new("paper-decentralized", 3)
@@ -353,33 +352,10 @@ pub fn decentralized_scenario(
         .strategy(Strategy::Consider)
         .payload_bytes(data.payload_bytes(sel))
         .difficulty(3_000_000)
-        .computes(per_peer_compute.unwrap_or_else(|| vec![ComputeProfile::paper_vm(); 3]))
+        .computes(vec![ComputeProfile::paper_vm(); 3])
         .batch_parallel(p.batch_parallel)
         .link(LinkSpec::lan())
         .seed(p.seed)
-}
-
-/// The lowered orchestrator configuration of [`decentralized_scenario`].
-pub fn decentralized_config(
-    data: &PreparedData,
-    sel: ModelSel,
-    wait_policy: WaitPolicy,
-    per_peer_compute: Option<Vec<ComputeProfile>>,
-) -> DecentralizedConfig {
-    decentralized_scenario(data, sel, wait_policy, per_peer_compute).decentralized_config()
-}
-
-/// [`decentralized_run`] with optional per-peer compute profiles, executed
-/// through the scenario engine against the prepared paper datasets.
-pub fn decentralized_run_with_computes(
-    data: &PreparedData,
-    sel: ModelSel,
-    wait_policy: WaitPolicy,
-    per_peer_compute: Option<Vec<ComputeProfile>>,
-) -> DecentralizedRun {
-    let spec = decentralized_scenario(data, sel, wait_policy, per_peer_compute);
-    let mut factory = data.model_factory(sel);
-    spec.run_with(data.shards(sel), data.peer_tests(sel), &mut *factory)
 }
 
 /// Output of the Table I / Figure 3 regeneration.
@@ -468,7 +444,8 @@ pub fn run_tables234(data: &PreparedData) -> Tables234Output {
     let rounds = data.profile.rounds as usize;
     let mut runs = Vec::new();
     for sel in [ModelSel::Simple, ModelSel::EffNet] {
-        runs.push((sel, decentralized_run(data, sel, WaitPolicy::All)));
+        let spec = decentralized_scenario(data, sel, WaitPolicy::All);
+        runs.push((sel, data.run(sel, &spec)));
     }
 
     let mut tables = Vec::new();
@@ -575,8 +552,8 @@ pub fn run_tradeoff(data: &PreparedData) -> TradeoffOutput {
             WaitPolicy::FirstK(2),
             WaitPolicy::FirstK(1),
         ] {
-            let run =
-                decentralized_run_with_computes(data, sel, policy, Some(straggler_profiles()));
+            let spec = decentralized_scenario(data, sel, policy).computes(straggler_profiles());
+            let run = data.run(sel, &spec);
             let final_accuracy = (0..3).map(|p| run.final_accuracy(p)).sum::<f64>() / 3.0;
             let baseline = *baseline_acc.get_or_insert(final_accuracy);
             rows.push(TradeoffRow {
@@ -815,19 +792,14 @@ pub fn run_contention(data: &PreparedData, coefficients: &[f64]) -> ContentionOu
     let p = &data.profile;
     let mut rows = Vec::new();
     for &c in coefficients {
-        let spec = decentralized_scenario(data, ModelSel::Simple, WaitPolicy::All, None)
+        let spec = decentralized_scenario(data, ModelSel::Simple, WaitPolicy::All)
             .named(format!("contention-{c:.2}"))
             .rounds(p.rounds.min(3))
             .uniform_compute(ComputeProfile {
                 contention: c,
                 ..ComputeProfile::paper_vm()
             });
-        let mut factory = data.model_factory(ModelSel::Simple);
-        let run = spec.run_with(
-            data.shards(ModelSel::Simple),
-            data.peer_tests(ModelSel::Simple),
-            &mut *factory,
-        );
+        let run = data.run(ModelSel::Simple, &spec);
         rows.push(ContentionRow {
             contention: c,
             block_interval_secs: run

@@ -92,7 +92,7 @@ pub fn run_poisoning(data: &PreparedData) -> PoisoningOutput {
 
 fn poisoning_arm(data: &PreparedData, attack: Attack, defended: bool) -> PoisoningRow {
     let sel = ModelSel::Simple;
-    let mut spec = decentralized_scenario(data, sel, WaitPolicy::All, None)
+    let mut spec = decentralized_scenario(data, sel, WaitPolicy::All)
         .named(format!(
             "poisoning-{attack}-{}",
             if defended { "defended" } else { "open" }
@@ -105,8 +105,7 @@ fn poisoning_arm(data: &PreparedData, attack: Attack, defended: bool) -> Poisoni
             .fitness_threshold(1.2 / data.profile.synth.num_classes as f64)
             .norm_z_threshold(1.2);
     }
-    let mut factory = data.model_factory(sel);
-    let run = spec.run_with(data.shards(sel), data.peer_tests(sel), &mut *factory);
+    let run = data.run(sel, &spec);
 
     let honest_accuracy = (1..3).map(|p| run.final_accuracy(p)).sum::<f64>() / 2.0;
     let mut detected = std::collections::BTreeSet::new();

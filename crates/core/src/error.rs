@@ -5,8 +5,9 @@
 //! from external input (the scenario engine, benches, services) need a value
 //! they can match on and surface instead. [`ConfigError`]'s `Display` forms
 //! are stable prefixes, and `ScenarioSpec::validate` calls
-//! [`crate::DecentralizedConfig::validate`] on the lowered config, so a spec
-//! and the orchestrator reject the same configuration with the same words.
+//! [`crate::DecentralizedConfig::validate`] on the run config the spec
+//! wraps, so a spec and the orchestrator reject the same configuration with
+//! the same words.
 
 use crate::orchestrator::MAX_PEERS;
 
@@ -35,13 +36,22 @@ pub enum ConfigError {
     InvalidTimeline(String),
     /// A compute profile failed validation.
     InvalidCompute(String),
-    /// `per_peer_compute` is set but its length differs from the peer count.
+    /// The number of compute profiles differs from the peer count.
     PerPeerComputeMismatch {
         /// Profiles provided.
         profiles: usize,
         /// Peers configured.
         peers: usize,
     },
+    /// An adversary names a peer that does not exist.
+    AdversaryOutOfRange {
+        /// The peer the adversary names.
+        peer: usize,
+        /// Peers configured.
+        peers: usize,
+    },
+    /// A strategy switch at round 0 (rounds are 1-based).
+    ZeroSwitchRound,
     /// Zero communication rounds requested.
     ZeroRounds,
     /// A mini-batch size of zero (training could never form a batch).
@@ -76,6 +86,13 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "per-peer compute count mismatch ({profiles} profiles, {peers} peers)"
             ),
+            ConfigError::AdversaryOutOfRange { peer, peers } => write!(
+                f,
+                "adversary references peer {peer}, but only {peers} peers exist"
+            ),
+            ConfigError::ZeroSwitchRound => {
+                write!(f, "strategy_switch round is 1-based and must be positive")
+            }
             ConfigError::ZeroRounds => write!(f, "need at least one round"),
             ConfigError::ZeroBatchSize => write!(f, "batch size must be positive"),
             ConfigError::InvalidLink(e) => write!(f, "invalid link profile: {e}"),

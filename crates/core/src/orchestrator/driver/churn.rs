@@ -11,7 +11,7 @@ use super::{register_tx, registry_address, Event, Fault, Run};
 impl Run<'_> {
     pub(super) fn on_fault(&mut self, idx: usize, now: SimTime) {
         self.pending_faults -= 1;
-        let fault = self.cfg.faults[idx].fault.clone();
+        let fault = self.cfg.timeline[idx].fault.clone();
         self.obs.tel.run_instant(now, "fault.fired", || {
             vec![("fault", fault.to_string().into())]
         });

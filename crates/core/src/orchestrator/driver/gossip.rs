@@ -88,7 +88,7 @@ impl GossipState {
         let cuts = |f: &Fault| matches!(f, Partition { .. } | PeerLeave { .. } | PeerCrash { .. });
         GossipState {
             mode: cfg.gossip,
-            track_routes: cfg.faults.iter().any(|tf| cuts(&tf.fault)),
+            track_routes: cfg.timeline.iter().any(|tf| cuts(&tf.fault)),
             scratch: FloodScratch::new(),
             route_log: Vec::new(),
             gossip_bytes: 0,

@@ -109,7 +109,7 @@ pub(super) struct Run<'a> {
     peer_tests: &'a [Dataset],
     make_model: &'a mut dyn FnMut() -> Sequential,
     /// The chain store every peer of this run shares (see
-    /// [`DecentralizedConfig::store`]): each block is executed and each
+    /// [`Decentralized::with_store`]): each block is executed and each
     /// signature verified once per run instead of once per peer.
     store: ChainStore,
     /// The store's counters at run start, so the run reports only its own
@@ -193,12 +193,12 @@ impl<'a> Run<'a> {
         let engine = RoundEngine::new(cfg, hub, &addrs, make_model());
         // Peers with a scheduled join are dormant until their fault fires.
         let mut live = vec![true; n];
-        for tf in &cfg.faults {
+        for tf in &cfg.timeline {
             if let Fault::PeerJoin { peer } = tf.fault {
                 live[peer] = false;
             }
         }
-        let store = cfg.store.clone().unwrap_or_default();
+        let store = driver.store.clone().unwrap_or_default();
         store.begin_epoch();
         let store_base = store.counters();
         let peers: Vec<Peer> = keys
@@ -225,7 +225,7 @@ impl<'a> Run<'a> {
         // the adaptive rules pull cadence back there after hash-rate shocks.
         let genesis_rate: f64 = (0..n)
             .filter(|&i| live[i])
-            .map(|i| cfg.compute_for(i).effective_hashrate(true))
+            .map(|i| cfg.computes[i].effective_hashrate(true))
             .sum();
         let implied_target_ns = if genesis_rate > 0.0 {
             ((cfg.difficulty as f64 / genesis_rate) * 1e9).max(1.0) as u64
@@ -267,7 +267,7 @@ impl<'a> Run<'a> {
             recoveries: 0,
             gave_up_elapsed: BTreeMap::new(),
             last_published: vec![None; n],
-            pending_faults: cfg.faults.len(),
+            pending_faults: cfg.timeline.len(),
             stall: None,
             difficulty_ctl: DifficultyController::with_target(
                 cfg.retarget,
@@ -296,7 +296,7 @@ impl<'a> Run<'a> {
         for &i in &starters {
             self.start_training(i, SimTime::ZERO);
         }
-        for (idx, tf) in cfg.faults.iter().enumerate() {
+        for (idx, tf) in cfg.timeline.iter().enumerate() {
             self.sched.schedule_after(tf.at, Event::Fault { idx });
         }
         // Liveness watchdog: re-armed on every check, fires the stall
@@ -361,7 +361,7 @@ impl<'a> Run<'a> {
     fn mining_weight(&self, i: usize) -> f64 {
         let p = &self.peers[i];
         if self.live[i] {
-            self.cfg.compute_for(i).effective_hashrate(p.training) * p.hash_scale
+            self.cfg.computes[i].effective_hashrate(p.training) * p.hash_scale
         } else {
             0.0
         }
@@ -386,7 +386,7 @@ impl<'a> Run<'a> {
         p.training = true;
         let (round, gen) = (p.current_round, p.train_gen);
         self.obs.begin_training(peer, now, round);
-        let base = self.cfg.compute_for(peer).training_time(
+        let base = self.cfg.computes[peer].training_time(
             self.train_shards[peer].len(),
             self.cfg.local_epochs,
             true,
@@ -463,7 +463,7 @@ impl<'a> Run<'a> {
         // the knob only changes how much host wall-clock the
         // (virtual-time-accounted) training costs.
         model.train_epochs_maybe_par(
-            cfg.compute_for(peer).batch_parallel,
+            cfg.computes[peer].batch_parallel,
             &self.train_shards[peer],
             cfg.local_epochs,
             &Batcher::new(cfg.batch_size),

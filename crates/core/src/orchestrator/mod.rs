@@ -82,7 +82,7 @@ pub fn registry_address() -> H160 {
 }
 
 /// Configuration of a decentralized run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecentralizedConfig {
     /// Communication rounds (paper: 10).
     pub rounds: u32,
@@ -107,12 +107,11 @@ pub struct DecentralizedConfig {
     /// Proof-of-work difficulty (sets the block cadence together with the
     /// compute profiles).
     pub difficulty: u128,
-    /// Per-peer compute (hash rate, training rate, contention).
-    pub compute: ComputeProfile,
-    /// Optional per-peer override of `compute` — the realistic heterogeneous
-    /// setting ("stragglers") where asynchronous aggregation actually pays.
-    /// Must match the peer count when set.
-    pub per_peer_compute: Option<Vec<ComputeProfile>>,
+    /// One compute profile (hash rate, training rate, contention) per peer;
+    /// the length is the peer count. Unequal profiles give the realistic
+    /// heterogeneous setting ("stragglers") where asynchronous aggregation
+    /// actually pays.
+    pub computes: Vec<ComputeProfile>,
     /// The paper's §III fitness gate: a received model whose standalone
     /// accuracy on the peer's own test data falls below this threshold is
     /// ignored during aggregation ("otherwise, it will be ignored"). `None`
@@ -168,10 +167,10 @@ pub struct DecentralizedConfig {
     /// many blocks its submission is buried under at aggregation time (the
     /// age-of-block staleness). `None` keeps the paper's uniform weighting.
     pub staleness_decay: Option<StalenessDecay>,
-    /// Timed fault and churn events injected into the run (partitions, peer
-    /// join/leave, hash-rate shocks). A peer with a
+    /// The fault and churn timeline injected into the run (partitions, peer
+    /// join/leave, crashes, hash-rate shocks). A peer with a
     /// [`PeerJoin`](crate::Fault::PeerJoin) entry is dormant until it fires.
-    pub faults: Vec<TimedFault>,
+    pub timeline: Vec<TimedFault>,
     /// How mining difficulty retargets as block intervals drift from the
     /// cadence `difficulty` implies at genesis. The default
     /// [`RetargetRule::Homestead`] takes the fixed ±1/2048 step per block —
@@ -194,15 +193,9 @@ pub struct DecentralizedConfig {
     /// [`DecentralizedConfig::strategy`]. The fork-replay API uses this to
     /// re-run a suffix of a finished run under a different strategy (e.g.
     /// "replay round 40 under BestK instead of Consider") while the shared
-    /// [`ChainStore`] serves the unchanged prefix from its memo.
+    /// [`ChainStore`] (see [`Decentralized::with_store`]) serves the
+    /// unchanged prefix from its memo. The round is 1-based.
     pub strategy_switch: Option<(u32, Strategy)>,
-    /// The chain store the run's peers share: `None` (the default) gives the
-    /// run a fresh private store dropped with it; `Some(handle)` lets a
-    /// caller share one store across *sequential* runs (fork replay, memory
-    /// checks) or inspect entry counts afterwards. The orchestrator calls
-    /// [`ChainStore::begin_epoch`] at run start, so entries untouched for a
-    /// full run age out instead of accumulating.
-    pub store: Option<ChainStore>,
     /// Optional adaptive policy controller (see [`ControllerSpec`]): observes
     /// each round's wait time, staleness, fork rate, straggler spread, and
     /// accuracy delta and may switch the wait policy, aggregation strategy,
@@ -225,10 +218,9 @@ impl Default for DecentralizedConfig {
             momentum: 0.9,
             wait_policy: WaitPolicy::All,
             strategy: Strategy::Consider,
-            payload_bytes: 253_952, // SimpleNN's 248 KB
-            difficulty: 3_000_000,  // ≈13 s blocks with 3 paper_vm miners
-            compute: ComputeProfile::paper_vm(),
-            per_peer_compute: None,
+            payload_bytes: 253_952,                        // SimpleNN's 248 KB
+            difficulty: 3_000_000,                         // ≈13 s blocks with 3 paper_vm miners
+            computes: vec![ComputeProfile::paper_vm(); 3], // the paper's three VMs
             fitness_threshold: None,
             norm_z_threshold: None,
             degeneracy_min_classes: None,
@@ -238,11 +230,10 @@ impl Default for DecentralizedConfig {
             gossip: GossipMode::AnnounceFetch,
             committees: None,
             staleness_decay: None,
-            faults: Vec::new(),
+            timeline: Vec::new(),
             retarget: RetargetRule::Homestead,
             watchdog: Some(SimDuration::from_secs(600)),
             strategy_switch: None,
-            store: None,
             controller: None,
             seed: 42,
         }
@@ -264,23 +255,27 @@ impl DecentralizedConfig {
         if peers > MAX_PEERS {
             return Err(ConfigError::TooManyPeers { got: peers });
         }
-        validate_timeline(&self.faults, peers).map_err(ConfigError::InvalidTimeline)?;
+        validate_timeline(&self.timeline, peers).map_err(ConfigError::InvalidTimeline)?;
+        if let Some(adv) = self.adversaries.iter().find(|a| a.client.0 >= peers) {
+            return Err(ConfigError::AdversaryOutOfRange {
+                peer: adv.client.0,
+                peers,
+            });
+        }
+        if matches!(self.strategy_switch, Some((0, _))) {
+            return Err(ConfigError::ZeroSwitchRound);
+        }
         self.link
             .validate()
             .map_err(|e| ConfigError::InvalidLink(e.to_string()))?;
-        self.compute
-            .validate()
-            .map_err(ConfigError::InvalidCompute)?;
-        if let Some(profiles) = &self.per_peer_compute {
-            if profiles.len() != peers {
-                return Err(ConfigError::PerPeerComputeMismatch {
-                    profiles: profiles.len(),
-                    peers,
-                });
-            }
-            for p in profiles {
-                p.validate().map_err(ConfigError::InvalidCompute)?;
-            }
+        if self.computes.len() != peers {
+            return Err(ConfigError::PerPeerComputeMismatch {
+                profiles: self.computes.len(),
+                peers,
+            });
+        }
+        for p in &self.computes {
+            p.validate().map_err(ConfigError::InvalidCompute)?;
         }
         if self.rounds == 0 {
             return Err(ConfigError::ZeroRounds);
@@ -300,13 +295,6 @@ impl DecentralizedConfig {
             ))),
             _ => Ok(()),
         }
-    }
-
-    /// The compute profile of one peer.
-    fn compute_for(&self, peer: usize) -> ComputeProfile {
-        self.per_peer_compute
-            .as_ref()
-            .map_or(self.compute, |v| v[peer])
     }
 }
 
@@ -442,7 +430,8 @@ pub struct DecentralizedRun {
     pub policy_events: Vec<PolicyEvent>,
     /// Peer 0's blockchain at run end — an `Arc`-backed view over the run's
     /// shared storage (cheap to hold). [`Blockchain::fork_at`] on it, with
-    /// the run's [`ChainStore`] passed to a follow-up run's config, replays
+    /// the run's [`ChainStore`] handed to a follow-up run through
+    /// [`Decentralized::with_store`], replays
     /// any suffix of the finished run without re-executing the prefix.
     pub final_chain: Blockchain,
 }
@@ -592,6 +581,7 @@ pub struct Decentralized<'a> {
     config: DecentralizedConfig,
     train_shards: &'a [Dataset],
     peer_tests: &'a [Dataset],
+    store: Option<ChainStore>,
 }
 
 impl<'a> Decentralized<'a> {
@@ -634,7 +624,20 @@ impl<'a> Decentralized<'a> {
             config,
             train_shards,
             peer_tests,
+            store: None,
         })
+    }
+
+    /// Shares `store` with the run's peers instead of a fresh private store
+    /// dropped with the run, so *sequential* runs handed the same handle
+    /// reuse each other's cached work (fork replay, memory checks) and the
+    /// caller can inspect entry counts afterwards. The run calls
+    /// [`ChainStore::begin_epoch`] at start, so entries untouched for a full
+    /// run age out instead of accumulating.
+    #[must_use]
+    pub fn with_store(mut self, store: ChainStore) -> Self {
+        self.store = Some(store);
+        self
     }
 
     /// The configuration.
@@ -702,34 +705,21 @@ mod tests {
             local_epochs: 2,
             batch_size: 16,
             lr: 0.1,
-            momentum: 0.9,
             wait_policy: policy,
-            strategy: Strategy::Consider,
             payload_bytes: 10_000,
             difficulty: 200_000, // fast blocks so tests stay quick
-            compute: ComputeProfile {
-                hashrate: 100_000.0,
-                train_rate: 500.0,
-                contention: 0.3,
-                batch_parallel: false,
-            },
-            per_peer_compute: None,
-            fitness_threshold: None,
-            norm_z_threshold: None,
-            degeneracy_min_classes: None,
-            adversaries: Vec::new(),
-            link: LinkSpec::lan(),
-            topology: Topology::FullMesh,
+            computes: vec![
+                ComputeProfile {
+                    hashrate: 100_000.0,
+                    train_rate: 500.0,
+                    contention: 0.3,
+                    batch_parallel: false,
+                };
+                3
+            ],
             gossip: GossipMode::Full,
-            staleness_decay: None,
-            faults: Vec::new(),
-            retarget: RetargetRule::Homestead,
-            watchdog: Some(SimDuration::from_secs(600)),
-            strategy_switch: None,
-            store: None,
-            controller: None,
-            committees: None,
             seed,
+            ..Default::default()
         }
     }
 
@@ -786,12 +776,9 @@ mod tests {
     /// asynchronous policies genuinely aggregate before stragglers finish.
     fn straggler_config(policy: WaitPolicy, seed: u64) -> DecentralizedConfig {
         let mut cfg = quick_config(policy, seed);
-        cfg.compute = ComputeProfile {
-            hashrate: 100_000.0,
-            train_rate: 5.0,
-            contention: 0.3,
-            batch_parallel: false,
-        };
+        for c in &mut cfg.computes {
+            c.train_rate = 5.0;
+        }
         cfg.difficulty = 100_000;
         cfg
     }
@@ -898,8 +885,10 @@ mod tests {
         // rejection point) and 1024 peers both construct.
         for n in [257usize, 1024] {
             let inside: Vec<Dataset> = (0..n).map(|_| fx.tests[0].clone()).collect();
+            let mut cfg = quick_config(WaitPolicy::All, 1);
+            cfg.computes = vec![cfg.computes[0]; n];
             assert!(
-                Decentralized::try_new(quick_config(WaitPolicy::All, 1), &inside, &inside).is_ok(),
+                Decentralized::try_new(cfg, &inside, &inside).is_ok(),
                 "{n} peers must be accepted"
             );
         }
@@ -926,6 +915,24 @@ mod tests {
             err.to_string().contains("more committees than peers"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn try_new_rejects_unknown_adversaries_and_round_zero_switches() {
+        // Both used to construct and then silently misbehave: the adversary
+        // was never applied and the switch acted from round 1.
+        let fx = fixture();
+        let mut cfg = quick_config(WaitPolicy::All, 1);
+        cfg.adversaries = vec![Adversary::new(ClientId(7), blockfed_fl::Attack::Replay)];
+        let err = Decentralized::try_new(cfg, &fx.shards, &fx.tests).err();
+        assert_eq!(
+            err,
+            Some(ConfigError::AdversaryOutOfRange { peer: 7, peers: 3 })
+        );
+        let mut cfg = quick_config(WaitPolicy::All, 1);
+        cfg.strategy_switch = Some((0, Strategy::NotConsider));
+        let err = Decentralized::try_new(cfg, &fx.shards, &fx.tests).err();
+        assert_eq!(err, Some(ConfigError::ZeroSwitchRound));
     }
 
     #[test]
@@ -1283,7 +1290,7 @@ mod tests {
     fn out_of_range_fault_rejected() {
         let fx = fixture();
         let mut cfg = quick_config(WaitPolicy::All, 1);
-        cfg.faults = vec![crate::faults::TimedFault::at_secs(
+        cfg.timeline = vec![crate::faults::TimedFault::at_secs(
             1.0,
             crate::faults::Fault::PeerLeave { peer: 9 },
         )];
@@ -1296,7 +1303,7 @@ mod tests {
         // the departing peer submits. The two survivors' WaitPolicy::All must
         // re-measure against the reduced population and finish every round.
         let mut cfg = straggler_config(WaitPolicy::All, 50);
-        cfg.faults = vec![crate::faults::TimedFault::at_secs(
+        cfg.timeline = vec![crate::faults::TimedFault::at_secs(
             1.0,
             crate::faults::Fault::PeerLeave { peer: 2 },
         )];
@@ -1320,7 +1327,7 @@ mod tests {
         // participate in the round the network is currently in.
         let mut cfg = quick_config(WaitPolicy::All, 51);
         cfg.rounds = 3;
-        cfg.faults = vec![crate::faults::TimedFault::at_secs(
+        cfg.timeline = vec![crate::faults::TimedFault::at_secs(
             6.0,
             crate::faults::Fault::PeerJoin { peer: 2 },
         )];
@@ -1370,7 +1377,7 @@ mod tests {
             bandwidth: None,
             loss_rate: 0.0,
         };
-        cfg.faults = vec![
+        cfg.timeline = vec![
             crate::faults::TimedFault::at_secs(
                 0.15,
                 crate::faults::Fault::Partition {
@@ -1409,8 +1416,9 @@ mod tests {
         );
         let tests = vec![test.clone(), test.clone(), test.clone(), test];
         let mut cfg = straggler_config(WaitPolicy::All, 60);
+        cfg.computes.push(cfg.computes[0]);
         cfg.topology = Topology::Ring;
-        cfg.faults = vec![crate::faults::TimedFault::at_secs(
+        cfg.timeline = vec![crate::faults::TimedFault::at_secs(
             1.0,
             crate::faults::Fault::PeerLeave { peer: 1 },
         )];
@@ -1431,7 +1439,7 @@ mod tests {
     fn hash_rate_shock_shifts_mining_share() {
         // A 50× hash-rate shock to peer 0 makes it win nearly every block.
         let mut cfg = quick_config(WaitPolicy::All, 53);
-        cfg.faults = vec![crate::faults::TimedFault::at_secs(
+        cfg.timeline = vec![crate::faults::TimedFault::at_secs(
             0.0,
             crate::faults::Fault::HashRateShock {
                 peer: 0,
@@ -1655,7 +1663,7 @@ mod tests {
         // restarted peer must resync the chain, retrain its round, and still
         // complete both rounds.
         let mut cfg = straggler_config(WaitPolicy::All, 72);
-        cfg.faults = vec![
+        cfg.timeline = vec![
             crate::faults::TimedFault::at_secs(1.0, crate::faults::Fault::PeerCrash { peer: 2 }),
             crate::faults::TimedFault::at_secs(30.0, crate::faults::Fault::PeerRestart { peer: 2 }),
         ];
@@ -1689,7 +1697,7 @@ mod tests {
         let run_once = || {
             let fx = fixture();
             let mut cfg = straggler_config(WaitPolicy::All, 73);
-            cfg.faults = vec![
+            cfg.timeline = vec![
                 crate::faults::TimedFault::at_secs(
                     1.0,
                     crate::faults::Fault::PeerCrash { peer: 1 },
@@ -1729,7 +1737,7 @@ mod tests {
             loss_rate: 0.0,
         };
         cfg.watchdog = Some(SimDuration::from_secs(60));
-        cfg.faults = vec![crate::faults::TimedFault::at_secs(
+        cfg.timeline = vec![crate::faults::TimedFault::at_secs(
             0.15,
             crate::faults::Fault::Partition {
                 left: vec![0],
@@ -1768,7 +1776,7 @@ mod tests {
         };
         // Cut after the fetch starts but while its pull is in flight; heal
         // only after the ~40 s attempt budget has run out.
-        cfg.faults = vec![
+        cfg.timeline = vec![
             crate::faults::TimedFault::at_secs(
                 12.0,
                 crate::faults::Fault::Partition {
@@ -1815,10 +1823,7 @@ mod tests {
         let mut cfg = quick_config(WaitPolicy::All, 81);
         cfg.rounds = 1;
         cfg.watchdog = Some(SimDuration::from_secs(30));
-        let fast = cfg.compute;
-        let mut slow = cfg.compute;
-        slow.train_rate = 1.0; // ~60–150 s of training vs the 30 s window
-        cfg.per_peer_compute = Some(vec![fast, fast, slow]);
+        cfg.computes[2].train_rate = 1.0; // ~60–150 s of training vs the 30 s window
         let out = run_with(cfg, 81);
         assert!(out.stall.is_none(), "legit wait flagged: {:?}", out.stall);
         for (peer, records) in out.peer_records.iter().enumerate() {
@@ -1914,7 +1919,7 @@ mod tests {
     ) -> DecentralizedRun {
         let mut cfg = quick_config(WaitPolicy::All, 56);
         cfg.gossip = mode;
-        cfg.faults = faults;
+        cfg.timeline = faults;
         run_with(cfg, 56)
     }
 

@@ -1,20 +1,24 @@
 //! The declarative scenario model.
 //!
 //! A [`ScenarioSpec`] is a complete, self-contained description of one
-//! decentralized blockchain-FL run: how many peers, what compute each has,
-//! how they are wired, when they wait, how they aggregate, which adversaries
-//! are embedded, and a timeline of faults (partitions, churn, hash-rate
-//! shocks). Specs are plain data — build one with the fluent API, hand it to
-//! a [`crate::ScenarioRunner`], or lower it onto externally prepared data
-//! with [`ScenarioSpec::run_with`].
+//! decentralized blockchain-FL run: the orchestrator's [`DecentralizedConfig`]
+//! (how many peers, what compute each has, how they are wired, when they
+//! wait, how they aggregate, which adversaries are embedded, and a timeline
+//! of faults) plus the data, the model and a name. Every run knob is
+//! declared once, on the config; the spec reads and writes it through
+//! `Deref`. Specs are plain data — build one with the fluent API, hand it to
+//! a [`crate::ScenarioRunner`], or run it on externally prepared data with
+//! [`ScenarioSpec::run_with`].
+
+use std::ops::{Deref, DerefMut};
 
 use blockfed_core::{
     ChainStore, CommitteeSpec, ComputeProfile, ControllerSpec, Decentralized, DecentralizedConfig,
-    DecentralizedRun, Fault, RetargetRule, TimedFault,
+    DecentralizedRun, Fault, TimedFault,
 };
 use blockfed_data::{Dataset, Partition, SynthCifarConfig};
-use blockfed_fl::{Adversary, StalenessDecay, Strategy, WaitPolicy};
-use blockfed_net::{GossipMode, LinkSpec, Topology};
+use blockfed_fl::{Adversary, Strategy, WaitPolicy};
+use blockfed_net::{GossipMode, LinkSpec};
 use blockfed_nn::{Sequential, SimpleNnConfig};
 use blockfed_sim::SimDuration;
 
@@ -104,83 +108,6 @@ impl DataSpec {
 pub struct ScenarioSpec {
     /// Display name (matrix cells derive theirs from it).
     pub name: String,
-    /// Communication rounds.
-    pub rounds: u32,
-    /// Local epochs per round.
-    pub local_epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// SGD momentum.
-    pub momentum: f32,
-    /// Per-peer compute profiles; the length is the peer count.
-    pub computes: Vec<ComputeProfile>,
-    /// Network topology.
-    pub topology: Topology,
-    /// Link profile between peers.
-    pub link: LinkSpec,
-    /// How model artifacts disseminate: the default
-    /// [`GossipMode::AnnounceFetch`] floods digest-sized announcements and
-    /// pulls one payload copy per peer (`fetch_bytes`), while
-    /// [`GossipMode::Full`] reproduces the legacy payload-per-edge flood
-    /// accounting. Identical simulation either way — only the traffic split
-    /// in the cell report changes.
-    pub gossip: GossipMode,
-    /// When a peer stops waiting for more models.
-    pub wait_policy: WaitPolicy,
-    /// The requested aggregation strategy (see [`ScenarioSpec::resolved_strategy`]).
-    pub strategy: Strategy,
-    /// Above this peer count a requested `Strategy::Consider` is lowered to
-    /// `Strategy::BestK(best_k)`: the full combination search is exponential
-    /// in the peer count, best-k is linear.
-    pub consider_cutover: usize,
-    /// The `k` used when the cutover kicks in.
-    pub best_k: usize,
-    /// Mid-run strategy switch: from round `r` (1-based) onward the run
-    /// aggregates with the given strategy instead of the resolved base
-    /// strategy. [`crate::ScenarioRunner::run_fork_replay`] uses this to
-    /// replay a suffix of rounds under a different strategy against the same
-    /// chain store. `None` keeps one strategy throughout.
-    pub strategy_switch: Option<(u32, Strategy)>,
-    /// Optional staleness-aware re-weighting of aggregated updates.
-    pub staleness_decay: Option<StalenessDecay>,
-    /// Declared on-chain size of a model artifact.
-    pub payload_bytes: u64,
-    /// Proof-of-work difficulty.
-    pub difficulty: u128,
-    /// How mining difficulty retargets when block cadence drifts from the
-    /// one `difficulty` implies (the default [`RetargetRule::Homestead`]
-    /// keeps the legacy near-constant behaviour; the adaptive rules recover
-    /// the cadence after hash-rate shocks).
-    pub retarget: RetargetRule,
-    /// The paper's §III fitness gate (`None` disables).
-    pub fitness_threshold: Option<f64>,
-    /// Norm-outlier gate (`None` disables).
-    pub norm_z_threshold: Option<f64>,
-    /// Degeneracy gate (`None` disables).
-    pub degeneracy_min_classes: Option<usize>,
-    /// Compromised peers and their attacks.
-    pub adversaries: Vec<Adversary>,
-    /// The fault/churn timeline.
-    pub timeline: Vec<TimedFault>,
-    /// Liveness watchdog window: if the run makes no aggregation progress for
-    /// this long, it fails fast with a diagnostic instead of hanging (see
-    /// [`DecentralizedConfig::watchdog`]). `None` disables the monitor.
-    pub watchdog: Option<SimDuration>,
-    /// Optional adaptive policy controller: observes each round's wait time,
-    /// staleness, fork rate, straggler spread, and accuracy delta and may
-    /// switch wait policy / strategy / staleness decay at round boundaries
-    /// (see [`ControllerSpec`]). `None` keeps the spec's static knobs — the
-    /// paper's setting.
-    pub controller: Option<ControllerSpec>,
-    /// Optional hierarchical committee layout: peers aggregate locally per
-    /// committee (tier 1) and merge the committee aggregates across the
-    /// population (tier 2) before advancing their round (see
-    /// [`DecentralizedConfig::committees`]). `None` — and any spec naming a
-    /// single committee — is the flat topology. Part of spec identity: two
-    /// cells differing only here are distinct and never deduplicated.
-    pub committees: Option<CommitteeSpec>,
     /// Data synthesis and partitioning.
     pub data: DataSpec,
     /// The model architecture every peer trains.
@@ -192,8 +119,33 @@ pub struct ScenarioSpec {
     /// [`ScenarioSpec::uniform_compute`]. `None` keeps the per-profile
     /// flags.
     pub batch_parallel: Option<bool>,
-    /// Master seed: same seed ⇒ bit-identical report.
-    pub seed: u64,
+    /// Above this peer count a requested `Strategy::Consider` is lowered to
+    /// `Strategy::BestK(best_k)`: the full combination search is exponential
+    /// in the peer count, best-k is linear.
+    pub consider_cutover: usize,
+    /// The `k` used when the cutover kicks in.
+    pub best_k: usize,
+    /// The run configuration. Its `strategy` is the *requested* one (see
+    /// [`ScenarioSpec::resolved_strategy`]), and its `computes` set the peer
+    /// count.
+    pub config: DecentralizedConfig,
+}
+
+/// A scenario is a run config plus its data, model and name, so field reads
+/// and writes (`spec.rounds`, `spec.computes[0]`, `spec.timeline`) go to the
+/// config's one declaration of each knob.
+impl Deref for ScenarioSpec {
+    type Target = DecentralizedConfig;
+
+    fn deref(&self) -> &DecentralizedConfig {
+        &self.config
+    }
+}
+
+impl DerefMut for ScenarioSpec {
+    fn deref_mut(&mut self) -> &mut DecentralizedConfig {
+        &mut self.config
+    }
 }
 
 impl ScenarioSpec {
@@ -202,47 +154,29 @@ impl ScenarioSpec {
     /// cutover, fast (~1 s) blocks.
     pub fn new(name: impl Into<String>, peers: usize) -> Self {
         let data = DataSpec::default();
-        let model = SimpleNnConfig::tiny(data.synth.feature_dim, data.synth.num_classes);
+        let quick = ComputeProfile {
+            hashrate: 100_000.0,
+            train_rate: 500.0,
+            contention: 0.3,
+            batch_parallel: false,
+        };
         ScenarioSpec {
             name: name.into(),
-            rounds: 3,
-            local_epochs: 2,
-            batch_size: 16,
-            lr: 0.1,
-            momentum: 0.9,
-            computes: vec![
-                ComputeProfile {
-                    hashrate: 100_000.0,
-                    train_rate: 500.0,
-                    contention: 0.3,
-                    batch_parallel: false,
-                };
-                peers
-            ],
-            topology: Topology::FullMesh,
-            link: LinkSpec::lan(),
-            gossip: GossipMode::AnnounceFetch,
-            wait_policy: WaitPolicy::All,
-            strategy: Strategy::Consider,
+            model: SimpleNnConfig::tiny(data.synth.feature_dim, data.synth.num_classes),
+            data,
+            batch_parallel: None,
             consider_cutover: 6,
             best_k: 3,
-            strategy_switch: None,
-            staleness_decay: None,
-            payload_bytes: 10_000,
-            difficulty: 200_000,
-            retarget: RetargetRule::Homestead,
-            fitness_threshold: None,
-            norm_z_threshold: None,
-            degeneracy_min_classes: None,
-            adversaries: Vec::new(),
-            timeline: Vec::new(),
-            watchdog: Some(SimDuration::from_secs(600)),
-            controller: None,
-            committees: None,
-            data,
-            model,
-            batch_parallel: None,
-            seed: 42,
+            config: DecentralizedConfig {
+                rounds: 3,
+                local_epochs: 2,
+                batch_size: 16,
+                lr: 0.1,
+                payload_bytes: 10_000,
+                difficulty: 200_000,
+                computes: vec![quick; peers],
+                ..Default::default()
+            },
         }
     }
 
@@ -336,13 +270,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the staleness decay.
-    #[must_use]
-    pub fn staleness(mut self, decay: StalenessDecay) -> Self {
-        self.staleness_decay = Some(decay);
-        self
-    }
-
     /// Sets the declared artifact size.
     #[must_use]
     pub fn payload_bytes(mut self, bytes: u64) -> Self {
@@ -354,13 +281,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn difficulty(mut self, difficulty: u128) -> Self {
         self.difficulty = difficulty;
-        self
-    }
-
-    /// Sets the difficulty retarget rule.
-    #[must_use]
-    pub fn retarget(mut self, rule: RetargetRule) -> Self {
-        self.retarget = rule;
         self
     }
 
@@ -377,17 +297,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn computes(mut self, profiles: Vec<ComputeProfile>) -> Self {
         self.computes = profiles;
-        self
-    }
-
-    /// Overrides one peer's compute profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range.
-    #[must_use]
-    pub fn peer_compute(mut self, peer: usize, profile: ComputeProfile) -> Self {
-        self.computes[peer] = profile;
         self
     }
 
@@ -417,13 +326,6 @@ impl ScenarioSpec {
         computes
     }
 
-    /// Sets the topology.
-    #[must_use]
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Sets the link profile.
     #[must_use]
     pub fn link(mut self, link: LinkSpec) -> Self {
@@ -442,30 +344,23 @@ impl ScenarioSpec {
     }
 
     /// Sets the liveness-watchdog window in virtual seconds (see
-    /// [`ScenarioSpec::watchdog`]).
+    /// [`DecentralizedConfig::watchdog`]).
     #[must_use]
     pub fn watchdog_secs(mut self, secs: f64) -> Self {
         self.watchdog = Some(SimDuration::from_secs_f64(secs));
         self
     }
 
-    /// Disables the liveness watchdog (a genuinely stalled run then hangs —
-    /// only for tests that prove a stall exists).
-    #[must_use]
-    pub fn no_watchdog(mut self) -> Self {
-        self.watchdog = None;
-        self
-    }
-
     /// Attaches an adaptive policy controller (see
-    /// [`ScenarioSpec::controller`]).
+    /// [`DecentralizedConfig::controller`]).
     #[must_use]
     pub fn controller(mut self, spec: ControllerSpec) -> Self {
         self.controller = Some(spec);
         self
     }
 
-    /// Sets the gossip dissemination mode (see [`ScenarioSpec::gossip`]).
+    /// Sets the gossip dissemination mode (see
+    /// [`DecentralizedConfig::gossip`]).
     #[must_use]
     pub fn gossip(mut self, mode: GossipMode) -> Self {
         self.gossip = mode;
@@ -473,7 +368,7 @@ impl ScenarioSpec {
     }
 
     /// Attaches a hierarchical committee layout (see
-    /// [`ScenarioSpec::committees`]).
+    /// [`DecentralizedConfig::committees`]).
     #[must_use]
     pub fn committees(mut self, spec: CommitteeSpec) -> Self {
         self.committees = Some(spec);
@@ -491,13 +386,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn norm_z_threshold(mut self, z: f64) -> Self {
         self.norm_z_threshold = Some(z);
-        self
-    }
-
-    /// Enables the degeneracy gate.
-    #[must_use]
-    pub fn degeneracy_min_classes(mut self, min: usize) -> Self {
-        self.degeneracy_min_classes = Some(min);
         self
     }
 
@@ -614,39 +502,19 @@ impl ScenarioSpec {
         }
     }
 
-    /// Checks the spec is runnable.
+    /// Checks the spec is runnable: its own `best_k`, the orchestrator's
+    /// checks on the config (a spec and `Decentralized::try_new` refuse with
+    /// the same words), and that the data pools cover every peer.
     ///
     /// # Errors
     ///
     /// Describes the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.peers();
-        // Checked here because lowering indexes the first compute profile.
-        if n < 2 {
-            return Err("a scenario needs at least two peers".into());
-        }
         if self.best_k == 0 {
             return Err("best_k must be positive".into());
         }
-        if let Some((round, _)) = self.strategy_switch {
-            if round == 0 {
-                return Err("strategy_switch round is 1-based and must be positive".into());
-            }
-        }
-        for a in &self.adversaries {
-            if a.client.0 >= n {
-                return Err(format!(
-                    "adversary references peer {}, but only {n} peers exist",
-                    a.client.0
-                ));
-            }
-        }
-        // Peer ceiling, rounds, batch size, compute profiles, fault timeline,
-        // controller, link and committees are the orchestrator's own checks:
-        // a spec and `Decentralized::try_new` refuse with the same words.
-        self.decentralized_config()
-            .validate(n)
-            .map_err(|e| e.to_string())?;
+        let n = self.peers();
+        self.config.validate(n).map_err(|e| e.to_string())?;
         let pool = self.data.synth.test_per_class * self.data.synth.num_classes;
         if pool / n == 0 {
             return Err(format!(
@@ -665,39 +533,14 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Lowers the spec onto the orchestrator's configuration.
+    /// Lowers the spec onto the orchestrator's configuration: the wrapped
+    /// config with the strategy resolved and the `batch_parallel` override
+    /// applied.
     pub fn decentralized_config(&self) -> DecentralizedConfig {
-        let computes = self.effective_computes();
-        let uniform = computes.windows(2).all(|w| w[0] == w[1]);
-        DecentralizedConfig {
-            rounds: self.rounds,
-            local_epochs: self.local_epochs,
-            batch_size: self.batch_size,
-            lr: self.lr,
-            momentum: self.momentum,
-            wait_policy: self.wait_policy,
-            strategy: self.resolved_strategy(),
-            strategy_switch: self.strategy_switch,
-            payload_bytes: self.payload_bytes,
-            difficulty: self.difficulty,
-            compute: computes[0],
-            per_peer_compute: if uniform { None } else { Some(computes) },
-            fitness_threshold: self.fitness_threshold,
-            norm_z_threshold: self.norm_z_threshold,
-            degeneracy_min_classes: self.degeneracy_min_classes,
-            adversaries: self.adversaries.clone(),
-            link: self.link,
-            topology: self.topology.clone(),
-            gossip: self.gossip,
-            staleness_decay: self.staleness_decay,
-            faults: self.timeline.clone(),
-            retarget: self.retarget,
-            watchdog: self.watchdog,
-            controller: self.controller.clone(),
-            committees: self.committees,
-            store: None,
-            seed: self.seed,
-        }
+        let mut cfg = self.config.clone();
+        cfg.strategy = self.resolved_strategy();
+        cfg.computes = self.effective_computes();
+        cfg
     }
 
     /// Runs the spec against externally prepared shards/tests and a model
@@ -760,9 +603,10 @@ impl ScenarioSpec {
             self.peers(),
             "shard count must match the spec's peer count"
         );
-        let mut cfg = self.decentralized_config();
-        cfg.store = store;
-        let driver = Decentralized::new(cfg, train_shards, peer_tests);
+        let mut driver = Decentralized::new(self.decentralized_config(), train_shards, peer_tests);
+        if let Some(store) = store {
+            driver = driver.with_store(store);
+        }
         driver.run_traced(make_model, sink)
     }
 }
@@ -770,24 +614,93 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockfed_core::MAX_PEERS;
+    use blockfed_core::{RetargetRule, MAX_PEERS};
+    use blockfed_fl::{Attack, ClientId, StalenessDecay};
+    use blockfed_net::Topology;
 
     #[test]
-    fn defaults_validate_and_lower() {
-        let spec = ScenarioSpec::new("base", 3);
-        spec.validate().unwrap();
-        let cfg = spec.decentralized_config();
-        assert_eq!(cfg.rounds, 3);
-        assert!(cfg.per_peer_compute.is_none(), "uniform peers stay scalar");
+    fn lowering_is_the_config_with_strategy_and_batch_parallel_resolved() {
+        // The defaults: the orchestrator's own, under `new`'s quick profile.
+        let base = ScenarioSpec::new("base", 3);
+        base.validate().unwrap();
+        let cfg = base.decentralized_config();
+        assert_eq!(cfg, base.config, "nothing to resolve on a default spec");
+        assert_eq!(cfg.gossip, GossipMode::AnnounceFetch);
+        assert_eq!(cfg.retarget, RetargetRule::Homestead);
+        assert_eq!(cfg.watchdog, Some(SimDuration::from_secs(600)));
         assert_eq!(cfg.strategy, Strategy::Consider);
-    }
-
-    #[test]
-    fn heterogeneous_computes_become_per_peer() {
-        let mut spec = ScenarioSpec::new("hetero", 3);
+        // Every knob off its default lowers verbatim, except the requested
+        // Consider (resolved past the cutover) and the batch-parallel flag
+        // (applied to every profile).
+        let replay = Adversary::new(ClientId(1), Attack::Replay);
+        let mut spec = ScenarioSpec::new("every-knob", 8)
+            .rounds(4)
+            .local_epochs(1)
+            .batch_size(8)
+            .lr(0.2)
+            .momentum(0.5)
+            .wait(WaitPolicy::FirstK(2))
+            .consider_cutover(6, 2)
+            .strategy_switch_at(2, Strategy::NotConsider)
+            .payload_bytes(1_234)
+            .difficulty(99_000)
+            .link(LinkSpec::wan())
+            .loss(0.05)
+            .watchdog_secs(30.0)
+            .controller(ControllerSpec::noop())
+            .gossip(GossipMode::Full)
+            .committees(CommitteeSpec::contiguous(2))
+            .fitness_threshold(0.2)
+            .norm_z_threshold(1.5)
+            .adversary(replay.clone())
+            .leave_at(5.0, 3)
+            .batch_parallel(true)
+            .seed(7);
         spec.computes[2].train_rate = 50.0;
-        let cfg = spec.decentralized_config();
-        assert_eq!(cfg.per_peer_compute.as_ref().map(Vec::len), Some(3));
+        spec.topology = Topology::Ring;
+        spec.retarget = RetargetRule::Pi { kp: 0.3, ki: 0.05 };
+        spec.staleness_decay = Some(StalenessDecay::Polynomial { a: 0.5 });
+        spec.degeneracy_min_classes = Some(2);
+        spec.validate().unwrap();
+        let mut computes = vec![
+            ComputeProfile {
+                batch_parallel: true,
+                ..base.computes[0]
+            };
+            8
+        ];
+        computes[2].train_rate = 50.0;
+        let expected = DecentralizedConfig {
+            rounds: 4,
+            local_epochs: 1,
+            batch_size: 8,
+            lr: 0.2,
+            momentum: 0.5,
+            wait_policy: WaitPolicy::FirstK(2),
+            strategy: Strategy::BestK(2),
+            payload_bytes: 1_234,
+            difficulty: 99_000,
+            computes,
+            fitness_threshold: Some(0.2),
+            norm_z_threshold: Some(1.5),
+            degeneracy_min_classes: Some(2),
+            adversaries: vec![replay],
+            link: LinkSpec {
+                loss_rate: 0.05,
+                ..LinkSpec::wan()
+            },
+            topology: Topology::Ring,
+            gossip: GossipMode::Full,
+            committees: Some(CommitteeSpec::contiguous(2)),
+            staleness_decay: Some(StalenessDecay::Polynomial { a: 0.5 }),
+            timeline: vec![TimedFault::at_secs(5.0, Fault::PeerLeave { peer: 3 })],
+            retarget: RetargetRule::Pi { kp: 0.3, ki: 0.05 },
+            watchdog: Some(SimDuration::from_secs(30)),
+            strategy_switch: Some((2, Strategy::NotConsider)),
+            controller: Some(ControllerSpec::noop()),
+            seed: 7,
+        };
+        assert_eq!(spec.decentralized_config(), expected);
     }
 
     #[test]
@@ -833,11 +746,12 @@ mod tests {
         assert!(ScenarioSpec::new("r0", 3).rounds(0).validate().is_err());
         let bad_fault = ScenarioSpec::new("f", 3).leave_at(1.0, 7);
         assert!(bad_fault.validate().is_err());
-        let bad_adv = ScenarioSpec::new("a", 3).adversary(Adversary::new(
-            blockfed_fl::ClientId(5),
-            blockfed_fl::Attack::Replay,
-        ));
-        assert!(bad_adv.validate().is_err());
+        let bad_adv =
+            ScenarioSpec::new("a", 3).adversary(Adversary::new(ClientId(5), Attack::Replay));
+        assert_eq!(
+            bad_adv.validate().unwrap_err(),
+            blockfed_core::ConfigError::AdversaryOutOfRange { peer: 5, peers: 3 }.to_string()
+        );
         // 40 test examples cannot cover 48 peers; the scaled data spec can.
         assert!(ScenarioSpec::new("wide", 20).validate().is_ok());
         assert!(ScenarioSpec::new("starved", 48).validate().is_err());
@@ -871,20 +785,11 @@ mod tests {
     }
 
     #[test]
-    fn committee_spec_validates_and_lowers() {
-        use blockfed_core::CommitteeSpec;
-        // Default flat: no committees in the lowered config.
-        let flat = ScenarioSpec::new("flat", 6);
-        assert_eq!(flat.committees, None);
-        assert_eq!(flat.decentralized_config().committees, None);
-        // A committee layout lowers verbatim.
-        let spec = ScenarioSpec::new("c", 6).committees(CommitteeSpec::contiguous(3));
-        spec.validate().unwrap();
-        assert_eq!(
-            spec.decentralized_config().committees,
-            Some(CommitteeSpec::contiguous(3))
-        );
-        // Invalid layouts are refused with the orchestrator's exact words.
+    fn committee_specs_are_refused_with_the_orchestrators_words() {
+        ScenarioSpec::new("c", 6)
+            .committees(CommitteeSpec::contiguous(3))
+            .validate()
+            .unwrap();
         let zero = ScenarioSpec::new("c0", 6)
             .committees(CommitteeSpec::contiguous(0))
             .validate()
@@ -931,34 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn gossip_mode_lowers_into_the_config() {
-        // Announce/fetch is the primary path; Full is the opt-in legacy
-        // accounting.
-        let spec = ScenarioSpec::new("g", 3);
-        assert_eq!(spec.gossip, GossipMode::AnnounceFetch);
-        assert_eq!(
-            spec.decentralized_config().gossip,
-            GossipMode::AnnounceFetch
-        );
-        let full = ScenarioSpec::new("g", 3).gossip(GossipMode::Full);
-        assert_eq!(full.decentralized_config().gossip, GossipMode::Full);
-    }
-
-    #[test]
-    fn retarget_rule_lowers_into_the_config() {
-        let spec = ScenarioSpec::new("pi", 3).retarget(RetargetRule::Pi { kp: 0.3, ki: 0.05 });
-        assert_eq!(
-            spec.decentralized_config().retarget,
-            RetargetRule::Pi { kp: 0.3, ki: 0.05 }
-        );
-        // The default stays on the legacy Homestead control arm.
-        assert_eq!(
-            ScenarioSpec::new("h", 3).decentralized_config().retarget,
-            RetargetRule::Homestead
-        );
-    }
-
-    #[test]
     fn batch_parallel_is_builder_order_independent() {
         // The spec-level knob survives a later computes()/uniform_compute()
         // because it is applied at lowering time, not at builder-call time.
@@ -971,20 +848,12 @@ mod tests {
             .batch_parallel(true);
         for spec in [&flipped_first, &flipped_last] {
             assert!(spec.effective_computes().iter().all(|c| c.batch_parallel));
-            let cfg = spec.decentralized_config();
-            assert!(cfg.compute.batch_parallel, "lowering must carry the knob");
         }
         // Unset, the per-profile flags pass through untouched.
         let mut spec = ScenarioSpec::new("bp-off", 3);
         spec.computes[1].batch_parallel = true;
         let effective = spec.effective_computes();
         assert!(!effective[0].batch_parallel && effective[1].batch_parallel);
-        assert!(
-            spec.decentralized_config()
-                .per_peer_compute
-                .expect("non-uniform profiles stay per-peer")[1]
-                .batch_parallel
-        );
     }
 
     #[test]
@@ -1008,11 +877,8 @@ mod tests {
     }
 
     #[test]
-    fn loss_lowers_and_invalid_loss_mirrors_the_orchestrator() {
-        let spec = ScenarioSpec::new("lossy", 3).loss(0.05);
-        spec.validate().unwrap();
-        assert_eq!(spec.decentralized_config().link.loss_rate, 0.05);
-        // An out-of-range rate is refused with the orchestrator's words.
+    fn invalid_loss_mirrors_the_orchestrator() {
+        ScenarioSpec::new("lossy", 3).loss(0.05).validate().unwrap();
         let err = ScenarioSpec::new("bad", 3)
             .loss(1.5)
             .validate()
@@ -1026,22 +892,5 @@ mod tests {
             .to_string(),
             "spec and orchestrator must reject with the same words"
         );
-    }
-
-    #[test]
-    fn watchdog_knob_lowers_into_the_config() {
-        // The default matches the orchestrator's ten-minute window.
-        let spec = ScenarioSpec::new("w", 3);
-        assert_eq!(
-            spec.decentralized_config().watchdog,
-            Some(SimDuration::from_secs(600))
-        );
-        let tight = ScenarioSpec::new("w", 3).watchdog_secs(30.0);
-        assert_eq!(
-            tight.decentralized_config().watchdog,
-            Some(SimDuration::from_secs(30))
-        );
-        let off = ScenarioSpec::new("w", 3).no_watchdog();
-        assert_eq!(off.decentralized_config().watchdog, None);
     }
 }

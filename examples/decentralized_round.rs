@@ -34,7 +34,7 @@ fn main() {
         local_epochs: 5,
         wait_policy: WaitPolicy::All,
         payload_bytes: nn.payload_bytes(),
-        compute: ComputeProfile::paper_vm(),
+        computes: vec![ComputeProfile::paper_vm(); 3],
         link: LinkSpec::lan(),
         ..Default::default()
     };

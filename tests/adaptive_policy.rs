@@ -74,13 +74,16 @@ fn run_once(n: usize, seed: u64, chaos: bool, controller: Option<ControllerSpec>
         lr: 0.1,
         payload_bytes: 10_000,
         difficulty: 200_000,
-        compute: ComputeProfile {
-            hashrate: 100_000.0,
-            train_rate: 500.0,
-            contention: 0.3,
-            batch_parallel: false,
-        },
-        faults: if chaos { chaos_faults(n) } else { Vec::new() },
+        computes: vec![
+            ComputeProfile {
+                hashrate: 100_000.0,
+                train_rate: 500.0,
+                contention: 0.3,
+                batch_parallel: false,
+            };
+            n
+        ],
+        timeline: if chaos { chaos_faults(n) } else { Vec::new() },
         controller,
         seed,
         ..Default::default()

@@ -32,7 +32,7 @@ fn world(n: usize, seed: u64) -> (Vec<Dataset>, Vec<Dataset>) {
     (shards, vec![test; n])
 }
 
-fn base_config(seed: u64, rounds: u32, loss: f64) -> DecentralizedConfig {
+fn base_config(n: usize, seed: u64, rounds: u32, loss: f64) -> DecentralizedConfig {
     let mut cfg = DecentralizedConfig {
         rounds,
         local_epochs: 1,
@@ -41,12 +41,15 @@ fn base_config(seed: u64, rounds: u32, loss: f64) -> DecentralizedConfig {
         wait_policy: WaitPolicy::All,
         payload_bytes: 10_000,
         difficulty: 200_000,
-        compute: ComputeProfile {
-            hashrate: 100_000.0,
-            train_rate: 500.0,
-            contention: 0.3,
-            batch_parallel: false,
-        },
+        computes: vec![
+            ComputeProfile {
+                hashrate: 100_000.0,
+                train_rate: 500.0,
+                contention: 0.3,
+                batch_parallel: false,
+            };
+            n
+        ],
         seed,
         ..Default::default()
     };
@@ -118,8 +121,8 @@ proptest! {
         down in 5.0f64..15.0,
         seed in 0u64..500,
     ) {
-        let mut cfg = base_config(seed, 2, loss);
-        cfg.faults = chaos_timeline(n, partition_on, t1, dt, crash_on, crash_t, down);
+        let mut cfg = base_config(n, seed, 2, loss);
+        cfg.timeline = chaos_timeline(n, partition_on, t1, dt, crash_on, crash_t, down);
         let full = run(cfg.clone(), GossipMode::Full, n, seed);
         let af = run(cfg, GossipMode::AnnounceFetch, n, seed);
         // Returning at all is the termination proof (the watchdog bounds any

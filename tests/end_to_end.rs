@@ -49,12 +49,15 @@ fn vanilla_and_decentralized_agree_on_learnability() {
         batch_size: 16,
         lr: 0.1,
         difficulty: 200_000,
-        compute: ComputeProfile {
-            hashrate: 100_000.0,
-            train_rate: 500.0,
-            contention: 0.2,
-            batch_parallel: false,
-        },
+        computes: vec![
+            ComputeProfile {
+                hashrate: 100_000.0,
+                train_rate: 500.0,
+                contention: 0.2,
+                batch_parallel: false,
+            };
+            3
+        ],
         link: LinkSpec::lan(),
         payload_bytes: 10_000,
         seed: 4,
@@ -128,12 +131,15 @@ fn transfer_learning_pipeline_runs_decentralized() {
         local_epochs: 2,
         batch_size: 16,
         difficulty: 200_000,
-        compute: ComputeProfile {
-            hashrate: 100_000.0,
-            train_rate: 500.0,
-            contention: 0.2,
-            batch_parallel: false,
-        },
+        computes: vec![
+            ComputeProfile {
+                hashrate: 100_000.0,
+                train_rate: 500.0,
+                contention: 0.2,
+                batch_parallel: false,
+            };
+            3
+        ],
         payload_bytes: cfg.payload_bytes(),
         seed: 11,
         ..Default::default()
@@ -171,12 +177,15 @@ fn async_policies_form_a_latency_ladder() {
             wait_policy: policy,
             difficulty: 100_000,
             // Slow, uneven training makes waiting visible.
-            compute: ComputeProfile {
-                hashrate: 100_000.0,
-                train_rate: 5.0,
-                contention: 0.2,
-                batch_parallel: false,
-            },
+            computes: vec![
+                ComputeProfile {
+                    hashrate: 100_000.0,
+                    train_rate: 5.0,
+                    contention: 0.2,
+                    batch_parallel: false,
+                };
+                3
+            ],
             payload_bytes: 10_000,
             seed: 21,
             ..Default::default()

@@ -181,9 +181,9 @@ fn shocked_cadence(rule: RetargetRule, seed: u64) -> (f64, f64) {
         batch_parallel: false,
     };
     let mut cfg = config(seed);
-    cfg.compute = compute;
+    cfg.computes = vec![compute; 3];
     cfg.retarget = rule;
-    cfg.faults = (0..3)
+    cfg.timeline = (0..3)
         .map(|p| {
             TimedFault::at_secs(
                 shock_at,
@@ -276,7 +276,7 @@ fn heterogeneous_compute_with_attacker_keeps_latency_ladder() {
     for policy in [WaitPolicy::All, WaitPolicy::FirstK(2)] {
         let mut cfg = config(26);
         cfg.wait_policy = policy;
-        cfg.per_peer_compute = Some(stragglers.clone());
+        cfg.computes = stragglers.clone();
         cfg.adversaries = vec![Adversary::new(
             ClientId(0),
             Attack::GaussianNoise { sigma: 0.1 },

@@ -120,13 +120,16 @@ fn chaos_run_suffix_replays_through_the_memo() {
         lr: 0.1,
         payload_bytes: 10_000,
         difficulty: 200_000,
-        compute: ComputeProfile {
-            hashrate: 100_000.0,
-            train_rate: 500.0,
-            contention: 0.3,
-            batch_parallel: false,
-        },
-        faults: vec![
+        computes: vec![
+            ComputeProfile {
+                hashrate: 100_000.0,
+                train_rate: 500.0,
+                contention: 0.3,
+                batch_parallel: false,
+            };
+            n
+        ],
+        timeline: vec![
             TimedFault::at_secs(
                 0.5,
                 Fault::Partition {
@@ -138,12 +141,11 @@ fn chaos_run_suffix_replays_through_the_memo() {
             TimedFault::at_secs(1.0, Fault::PeerCrash { peer: n - 1 }),
             TimedFault::at_secs(9.0, Fault::PeerRestart { peer: n - 1 }),
         ],
-        store: Some(store.clone()),
         seed,
         ..Default::default()
     };
     let (shards, tests) = world(n, seed);
-    let driver = Decentralized::new(cfg, &shards, &tests);
+    let driver = Decentralized::new(cfg, &shards, &tests).with_store(store.clone());
     let nn = SimpleNnConfig::tiny(tests[0].feature_dim(), tests[0].num_classes());
     let mut arch_rng = StdRng::seed_from_u64(seed);
     let run = driver.run(&mut || nn.build(&mut arch_rng));

@@ -24,7 +24,7 @@ fn world(n: usize, seed: u64) -> (Vec<Dataset>, Vec<Dataset>) {
     (shards, vec![test; n])
 }
 
-fn base_config(seed: u64, rounds: u32, payload: u64) -> DecentralizedConfig {
+fn base_config(n: usize, seed: u64, rounds: u32, payload: u64) -> DecentralizedConfig {
     DecentralizedConfig {
         rounds,
         local_epochs: 1,
@@ -32,12 +32,15 @@ fn base_config(seed: u64, rounds: u32, payload: u64) -> DecentralizedConfig {
         lr: 0.1,
         payload_bytes: payload,
         difficulty: 200_000,
-        compute: ComputeProfile {
-            hashrate: 100_000.0,
-            train_rate: 500.0,
-            contention: 0.3,
-            batch_parallel: false,
-        },
+        computes: vec![
+            ComputeProfile {
+                hashrate: 100_000.0,
+                train_rate: 500.0,
+                contention: 0.3,
+                batch_parallel: false,
+            };
+            n
+        ],
         seed,
         ..Default::default()
     }
@@ -101,9 +104,9 @@ proptest! {
         leave_at in 0.1f64..2.0,
         seed in 0u64..500,
     ) {
-        let mut cfg = base_config(seed, 2, 10_000);
+        let mut cfg = base_config(n, seed, 2, 10_000);
         cfg.wait_policy = WaitPolicy::All;
-        cfg.faults = timeline(n, partition_on, t1, dt, leave_on, leave_at);
+        cfg.timeline = timeline(n, partition_on, t1, dt, leave_on, leave_at);
         let full = run(cfg.clone(), GossipMode::Full, n, seed);
         let af = run(cfg, GossipMode::AnnounceFetch, n, seed);
         // Identical artifact inventory on every peer (live peers included by
@@ -134,7 +137,7 @@ proptest! {
         payload in (ANNOUNCE_BYTES + 1)..40_000u64,
         seed in 0u64..500,
     ) {
-        let cfg = base_config(seed, 1, payload);
+        let cfg = base_config(n, seed, 1, payload);
         let full = run(cfg.clone(), GossipMode::Full, n, seed);
         let af = run(cfg, GossipMode::AnnounceFetch, n, seed);
         prop_assert!(
@@ -162,7 +165,7 @@ proptest! {
         payload in (ANNOUNCE_BYTES + 1)..40_000u64,
         seed in 0u64..500,
     ) {
-        let cfg = base_config(seed, 1, payload);
+        let cfg = base_config(n, seed, 1, payload);
         let af = run(cfg.clone(), GossipMode::AnnounceFetch, n, seed);
         let epi = run(cfg, GossipMode::Epidemic { fanout }, n, seed);
         prop_assert_eq!(&af.artifacts, &epi.artifacts);
@@ -183,7 +186,7 @@ proptest! {
 fn epidemic_undercuts_announce_fetch_gossip_at_48_peers() {
     let n = 48;
     let seed = 4_848;
-    let mut cfg = base_config(seed, 1, 10_000);
+    let mut cfg = base_config(n, seed, 1, 10_000);
     cfg.strategy = blockfed::fl::Strategy::BestK(3);
     let af = run(cfg.clone(), GossipMode::AnnounceFetch, n, seed);
     for fanout in [2, 3] {

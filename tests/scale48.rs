@@ -7,7 +7,9 @@
 
 mod common;
 
-use blockfed::core::{CommitteeSpec, ConfigError, Decentralized, DecentralizedConfig};
+use blockfed::core::{
+    CommitteeSpec, ComputeProfile, ConfigError, Decentralized, DecentralizedConfig,
+};
 use blockfed::data::{SynthCifar, SynthCifarConfig};
 use blockfed::fl::Strategy;
 use blockfed::net::GossipMode;
@@ -117,8 +119,12 @@ fn oversize_populations_fail_gracefully_not_by_panic() {
     // spec validates.
     for n in [257usize, 1024] {
         let inside: Vec<_> = (0..n).map(|_| test.clone()).collect();
+        let cfg = DecentralizedConfig {
+            computes: vec![ComputeProfile::paper_vm(); n],
+            ..Default::default()
+        };
         assert!(
-            Decentralized::try_new(DecentralizedConfig::default(), &inside, &inside).is_ok(),
+            Decentralized::try_new(cfg, &inside, &inside).is_ok(),
             "{n} peers must be accepted"
         );
     }
