@@ -1,7 +1,7 @@
 //! The blockchain⇄FL coupling: turning model updates into signed registry
 //! transactions and reading confirmed updates back off a peer's chain.
 
-use blockfed_chain::{Blockchain, CallContext, Transaction};
+use blockfed_chain::{Block, Blockchain, CallContext, Receipt, Transaction};
 use blockfed_crypto::sha256::sha256;
 use blockfed_crypto::{KeyPair, H160, H256};
 use blockfed_fl::ModelUpdate;
@@ -86,26 +86,41 @@ pub struct ConfirmedSubmission {
 }
 
 /// Scans a peer's canonical chain for successfully executed `submit_model`
-/// calls to `registry` in the given round.
+/// calls to `registry` in the given round, in chain order.
+///
+/// This is the public audit path and the test oracle: it decodes every
+/// canonical block's calldata on each call. A running simulation reads the
+/// same answer off the run's block log, which decoded each sealed block once.
 pub fn confirmed_submissions(
     chain: &Blockchain,
     registry: H160,
     round: u32,
 ) -> Vec<ConfirmedSubmission> {
+    submissions_in(chain, registry, round, |_| None)
+}
+
+/// [`confirmed_submissions`] over calls that `decoded` may already hold (see
+/// [`for_each_registry_call`]).
+pub(crate) fn submissions_in<'a>(
+    chain: &Blockchain,
+    registry: H160,
+    round: u32,
+    decoded: impl Fn(&H256) -> Option<&'a [RegistryEntry]>,
+) -> Vec<ConfirmedSubmission> {
     let mut out = Vec::new();
-    for_each_registry_call(chain, registry, |block_hash, tx, call| match call {
+    for_each_registry_call(chain, registry, decoded, |block_hash, e| match e.call {
         RegistryCall::SubmitModel {
             round: r,
             model_hash,
             payload_bytes,
             sample_count,
         } if r == round => out.push(ConfirmedSubmission {
-            sender: tx.from,
+            sender: e.sender,
             round,
             model_hash,
             payload_bytes,
             sample_count,
-            tx_hash: tx.hash(),
+            tx_hash: e.tx_hash,
             block_hash,
         }),
         _ => {}
@@ -113,26 +128,66 @@ pub fn confirmed_submissions(
     out
 }
 
+/// One successfully executed call to the registry, decoded from its
+/// transaction's calldata.
+#[derive(Debug)]
+pub(crate) struct RegistryEntry {
+    /// The calling account.
+    pub sender: H160,
+    /// Hash of the carrying transaction, as its receipt recorded it.
+    pub tx_hash: H256,
+    /// The decoded call.
+    pub call: RegistryCall,
+}
+
+/// Decodes `block`'s successfully executed calls to `registry`, in block
+/// order, given the block's `receipts` (none for a block never executed).
+/// The only decoder of registry calldata on the read side: the run's block
+/// log calls it once per sealed block, the chain scans below once per block
+/// per scan.
+pub(crate) fn registry_calls(
+    block: &Block,
+    receipts: &[Receipt],
+    registry: H160,
+) -> Vec<RegistryEntry> {
+    block
+        .transactions
+        .iter()
+        .zip(receipts)
+        .filter(|(tx, receipt)| tx.to == Some(registry) && receipt.is_success())
+        .filter_map(|(tx, receipt)| {
+            Some(RegistryEntry {
+                sender: tx.from,
+                tx_hash: receipt.tx_hash,
+                call: RegistryCall::decode(&tx.data)?,
+            })
+        })
+        .collect()
+}
+
 /// Visits every successfully executed call to `registry` on `chain`'s
-/// canonical chain, in chain order, with the hash of its block.
-fn for_each_registry_call(
+/// canonical chain, in chain order, with the hash of its block. `decoded`
+/// returns a block's calls when they were decoded already; any other block
+/// goes through [`registry_calls`] here.
+pub(crate) fn for_each_registry_call<'a>(
     chain: &Blockchain,
     registry: H160,
-    mut visit: impl FnMut(H256, &Transaction, RegistryCall),
+    decoded: impl Fn(&H256) -> Option<&'a [RegistryEntry]>,
+    mut visit: impl FnMut(H256, &RegistryEntry),
 ) {
     for block_hash in chain.canonical_chain() {
-        let block = chain.block(&block_hash).expect("canonical block exists");
-        let receipts = chain.receipts(&block_hash);
-        for (i, tx) in block.transactions.iter().enumerate() {
-            if tx.to != Some(registry) {
-                continue;
+        let fresh;
+        let calls = match decoded(&block_hash) {
+            Some(calls) => calls,
+            None => {
+                let block = chain.block(&block_hash).expect("canonical block exists");
+                let receipts = chain.receipts(&block_hash).unwrap_or_default();
+                fresh = registry_calls(block, receipts, registry);
+                &fresh[..]
             }
-            let ok = receipts
-                .and_then(|rs| rs.get(i))
-                .is_some_and(blockfed_chain::Receipt::is_success);
-            if let Some(call) = ok.then(|| RegistryCall::decode(&tx.data)).flatten() {
-                visit(block_hash, tx, call);
-            }
+        };
+        for entry in calls {
+            visit(block_hash, entry);
         }
     }
 }
@@ -156,26 +211,39 @@ pub struct AggregateRecord {
 /// `record_aggregate` calls to `registry` in the given round, decoding
 /// calldata without any storage readback.
 ///
-/// This is the hot-path sibling of [`confirmed_aggregates`]: the tier-2
-/// merge re-checks readiness on every block delivery, so it wants receipts +
-/// calldata (cheap, and sees *every* confirmed record, including re-recorded
-/// rounds) rather than the executed `get_aggregate` audit path.
+/// Unlike [`confirmed_aggregates`], this wants receipts + calldata only and
+/// sees *every* confirmed record, including re-recorded rounds: it is what
+/// the tier-2 merge's readiness check computes. Like
+/// [`confirmed_submissions`] it is the public path and the test oracle; the
+/// merge itself reads the run's block log, which decoded each sealed block
+/// once.
 pub fn confirmed_aggregate_records(
     chain: &Blockchain,
     registry: H160,
     round: u32,
 ) -> Vec<AggregateRecord> {
+    aggregate_records_in(chain, registry, round, |_| None)
+}
+
+/// [`confirmed_aggregate_records`] over calls that `decoded` may already
+/// hold (see [`for_each_registry_call`]).
+pub(crate) fn aggregate_records_in<'a>(
+    chain: &Blockchain,
+    registry: H160,
+    round: u32,
+    decoded: impl Fn(&H256) -> Option<&'a [RegistryEntry]>,
+) -> Vec<AggregateRecord> {
     let mut out = Vec::new();
-    for_each_registry_call(chain, registry, |_, tx, call| match call {
+    for_each_registry_call(chain, registry, decoded, |_, e| match &e.call {
         RegistryCall::RecordAggregate {
             round: r,
             combo_mask,
             agg_hash,
-        } if r == round => out.push(AggregateRecord {
-            sender: tx.from,
+        } if *r == round => out.push(AggregateRecord {
+            sender: e.sender,
             round,
-            combo_mask,
-            agg_hash,
+            combo_mask: combo_mask.clone(),
+            agg_hash: *agg_hash,
         }),
         _ => {}
     });
@@ -213,45 +281,50 @@ pub fn confirmed_aggregates(chain: &Blockchain, registry: H160) -> Vec<Confirmed
     let mut out = Vec::new();
     let mut state = chain.state().clone();
     let head_number = chain.head_block().number();
-    for_each_registry_call(chain, registry, |block_hash, tx, call| {
-        let RegistryCall::RecordAggregate {
-            round,
-            combo_mask: submitted_mask,
-            agg_hash: submitted_hash,
-        } = call
-        else {
-            return;
-        };
-        let read = RegistryCall::GetAggregate {
-            round,
-            aggregator: tx.from,
-        };
-        let ctx = CallContext {
-            caller: tx.from,
-            contract: registry,
-            calldata: read.encode(),
-            gas_budget: 1_000_000,
-            block_number: head_number,
-            timestamp_ns: 0,
-        };
-        let got = blockfed_vm::registry::execute_registry(&ctx, &mut state);
-        // A mismatch means a later re-record for this round superseded it.
-        match parse_aggregate(&got.output).filter(|_| got.success) {
-            Some((agg_hash, combo_mask))
-                if agg_hash == submitted_hash && combo_mask == submitted_mask =>
-            {
-                out.push(ConfirmedAggregate {
-                    aggregator: tx.from,
-                    round,
-                    combo_mask,
-                    agg_hash,
-                    tx_hash: tx.hash(),
-                    block_hash,
-                });
+    for_each_registry_call(
+        chain,
+        registry,
+        |_| None,
+        |block_hash, e| {
+            let RegistryCall::RecordAggregate {
+                round,
+                combo_mask: ref submitted_mask,
+                agg_hash: submitted_hash,
+            } = e.call
+            else {
+                return;
+            };
+            let read = RegistryCall::GetAggregate {
+                round,
+                aggregator: e.sender,
+            };
+            let ctx = CallContext {
+                caller: e.sender,
+                contract: registry,
+                calldata: read.encode(),
+                gas_budget: 1_000_000,
+                block_number: head_number,
+                timestamp_ns: 0,
+            };
+            let got = blockfed_vm::registry::execute_registry(&ctx, &mut state);
+            // A mismatch means a later re-record for this round superseded it.
+            match parse_aggregate(&got.output).filter(|_| got.success) {
+                Some((agg_hash, combo_mask))
+                    if agg_hash == submitted_hash && combo_mask == *submitted_mask =>
+                {
+                    out.push(ConfirmedAggregate {
+                        aggregator: e.sender,
+                        round,
+                        combo_mask,
+                        agg_hash,
+                        tx_hash: e.tx_hash,
+                        block_hash,
+                    });
+                }
+                _ => {}
             }
-            _ => {}
-        }
-    });
+        },
+    );
     out
 }
 

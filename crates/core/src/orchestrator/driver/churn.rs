@@ -165,7 +165,7 @@ impl Run<'_> {
             }
             let peer = &mut self.peers[i];
             let round = peer.current_round;
-            let subs = peer.node.confirmed(round);
+            let subs = peer.node.confirmed(round, &self.block_log);
             let held = &peer.node.model_store;
             let arrived = subs
                 .iter()

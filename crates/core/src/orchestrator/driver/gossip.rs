@@ -258,7 +258,7 @@ impl Run<'_> {
     /// artifact it does not hold.
     pub fn chase_missing(&mut self, to: usize, miner: usize, now: SimTime) {
         let round = self.peers[to].current_round;
-        let subs = self.peers[to].node.confirmed(round);
+        let subs = self.peers[to].node.confirmed(round, &self.block_log);
         let held = &self.peers[to].node.model_store;
         let missing: Vec<(H256, u64, usize)> = subs
             .iter()

@@ -11,10 +11,9 @@ mod gossip;
 mod obs;
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 use blockfed_chain::{
-    Block, Blockchain, ChainStore, DifficultyController, GenesisSpec, SealPolicy, StoreCounters,
+    Blockchain, ChainStore, DifficultyController, GenesisSpec, SealPolicy, StoreCounters,
     Transaction,
 };
 use blockfed_crypto::sha256::sha256;
@@ -32,6 +31,7 @@ use rand::Rng;
 
 use self::gossip::{FetchState, GossipState, Parcel};
 use self::obs::Obs;
+use super::block_log::BlockLog;
 use super::node::{Node, Reorg};
 use super::round::{AggArtifact, Aggregated, RoundEngine, Tier1Pending, Tier2};
 use super::{registry_address, Decentralized, DecentralizedConfig, PeerRoundRecord};
@@ -142,7 +142,7 @@ pub(super) struct Run<'a> {
     update_fp: Vec<H256>,
     /// Aligned with `tx_log`: the update a `submit_model` transaction carries.
     tx_update: Vec<Option<usize>>,
-    block_log: Vec<Arc<Block>>,
+    block_log: BlockLog,
     /// Aligned with `block_log`.
     block_miner: Vec<usize>,
     gs: GossipState,
@@ -257,7 +257,7 @@ impl<'a> Run<'a> {
             update_log: Vec::new(),
             update_fp: Vec::new(),
             tx_update: Vec::new(),
-            block_log: Vec::new(),
+            block_log: BlockLog::default(),
             block_miner: Vec::new(),
             gs: GossipState::new(cfg, &hub),
             published: HashMap::new(),
@@ -589,9 +589,8 @@ impl<'a> Run<'a> {
                     ("txs", (block.transactions.len() as u64).into()),
                 ]
             });
-            let block_idx = self.block_log.len();
             let block_bytes = 1024 + 256 * block.transactions.len() as u64;
-            self.block_log.push(block);
+            let block_idx = self.block_log.push(block, &self.peers[winner].node.chain);
             self.block_miner.push(winner);
             self.schedule_flood(winner, block_bytes, Parcel::Block(block_idx), now);
             self.try_aggregate(winner, now);
@@ -635,9 +634,9 @@ impl<'a> Run<'a> {
             return;
         };
         let test = &self.peer_tests[peer];
-        let (dropped, done) = self
-            .engine
-            .tier1(&mut p.node, peer, round, &self.live, test);
+        let (dropped, done) =
+            self.engine
+                .tier1(&mut p.node, peer, round, &self.live, test, &self.block_log);
         for &(from, (_, event)) in &dropped {
             self.obs.tel.instant(now, event, peer as u32, || {
                 vec![("round", round.into()), ("from", from.to_string().into())]
@@ -717,7 +716,6 @@ impl<'a> Run<'a> {
                 .map(|(client, (reason, _))| format!("{client}:{reason}"))
                 .collect(),
         });
-        p.global_params = outcome.params;
         p.train_done_at = None;
         self.consult_controller(peer, now);
 
@@ -728,9 +726,11 @@ impl<'a> Run<'a> {
                 done_at: now,
                 weight,
                 members,
+                params: outcome.params,
             });
             self.try_merge(peer, now);
         } else {
+            self.peers[peer].global_params = outcome.params;
             self.advance(peer, round, now);
         }
     }
@@ -864,9 +864,9 @@ impl<'a> Run<'a> {
             &mut p.node,
             peer,
             t1,
-            &p.global_params,
             &self.live,
             &self.agg_log,
+            &self.block_log,
         );
         let (params, members) = match merge {
             Tier2::Waiting { wanted } => return self.pull_aggregates(peer, wanted, now),

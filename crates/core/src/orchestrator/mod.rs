@@ -25,7 +25,9 @@
 //! paper's Tables II–IV; the wait times quantify the title's
 //! "wait or not to wait" trade-off.
 //!
-//! The orchestrator does three jobs, one private submodule each:
+//! The orchestrator does three jobs, one private submodule each, over the
+//! run's shared block log (`block_log`: every sealed block, indexed by hash,
+//! with its registry calls decoded once):
 //!
 //! * `node` — a peer's chain view: key, chain (each block's state shared with
 //!   every other peer through the run's [`ChainStore`]), mempool, runtime,
@@ -42,6 +44,7 @@
 //! network. This module keeps the public surface: the configuration, the
 //! result types and the [`Decentralized`] entry points.
 
+mod block_log;
 mod driver;
 mod node;
 mod round;

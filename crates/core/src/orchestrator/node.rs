@@ -1,7 +1,10 @@
 //! One peer's view of the chain: its key, blockchain, mempool and runtime,
-//! the artifacts it holds, and the memoised chain scans the round engine
-//! polls. A `Node` knows no scheduler, network or telemetry: every method is
-//! a plain state transition that returns what happened.
+//! the artifacts it holds, and the memoised reads the round engine polls. A
+//! `Node` knows no scheduler, network or telemetry: every method is a plain
+//! state transition that returns what happened. The run's [`BlockLog`] is
+//! passed in where a read needs it: an import pulls missing parents from it
+//! by hash, and the confirmed-call reads walk this node's canonical hashes
+//! and concatenate the calls the log decoded once per sealed block.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -13,18 +16,20 @@ use blockfed_crypto::{KeyPair, H256};
 use blockfed_fl::ModelUpdate;
 use blockfed_vm::{BlockfedRuntime, NativeContract};
 
+use super::block_log::BlockLog;
 use super::registry_address;
-use crate::coupling::{
-    confirmed_aggregate_records, confirmed_submissions, AggregateRecord, ConfirmedSubmission,
-};
+use crate::coupling::{aggregate_records_in, submissions_in, AggregateRecord, ConfirmedSubmission};
 
 /// A reorganisation one import caused: the head it displaced and the height
 /// the chain landed on.
 pub(super) type Reorg = (H256, u64);
 
-/// The two round-scoped scans of the canonical chain, valid for one
+/// The two round-scoped reads of the canonical chain, valid for one
 /// (head, round) pair and filled on first use: the chain only changes on
 /// block import, yet readiness is re-checked on every delivered transaction.
+/// A fill walks the canonical hashes and copies out the round's entries of
+/// calls the block log already decoded, so a miss costs O(height + the
+/// chain's registry calls), not a calldata decode.
 struct Memo {
     head: H256,
     round: u32,
@@ -119,22 +124,24 @@ impl Node {
         Some(block)
     }
 
-    /// Imports `blocks[idx]`, retrying parked orphans until none imports
-    /// (parents may arrive out of order). A block whose parent was never
-    /// delivered — its flood crossed a partition, or this node was dormant —
-    /// triggers an ancestor sync: a request to whoever sent the descendant,
-    /// modelled as a lookup in the run's block log. Returns the reorgs the
-    /// imports caused, in order.
-    pub fn import(&mut self, idx: usize, blocks: &[Arc<Block>]) -> Vec<Reorg> {
+    /// Imports `log`'s block `idx`, retrying parked orphans until none
+    /// imports (parents may arrive out of order). A block whose parent was
+    /// never delivered — its flood crossed a partition, or this node was
+    /// dormant — triggers an ancestor sync: a request to whoever sent the
+    /// descendant, modelled as a lookup in the run's block log. A block the
+    /// chain rejects is dropped, and so is every orphan waiting on it.
+    /// Returns the reorgs the imports caused, in order.
+    pub fn import(&mut self, idx: usize, log: &BlockLog) -> Vec<Reorg> {
         let mut reorgs = Vec::new();
+        let mut rejected: Vec<usize> = Vec::new();
         self.orphans.push(idx);
         loop {
             let mut progressed = false;
-            let mut missing: Vec<H256> = Vec::new();
+            let mut missing: Vec<(usize, H256)> = Vec::new();
             for i in std::mem::take(&mut self.orphans) {
                 match self
                     .chain
-                    .import_arc(Arc::clone(&blocks[i]), &mut self.runtime)
+                    .import_arc(Arc::clone(log.block(i)), &mut self.runtime)
                 {
                     Ok(outcome) => {
                         if let ImportOutcome::Reorged { old_head } = outcome {
@@ -144,17 +151,23 @@ impl Node {
                     }
                     Err(ImportError::UnknownParent(parent)) => {
                         self.orphans.push(i);
-                        missing.push(parent);
+                        missing.push((i, parent));
                     }
-                    Err(_) => {} // permanently invalid; drop
+                    Err(_) => rejected.push(i), // permanently invalid; drop
                 }
             }
-            for parent in missing {
-                if let Some(j) = blocks.iter().position(|b| b.hash() == parent) {
-                    if !self.orphans.contains(&j) {
+            for (i, parent) in missing {
+                match log.position(&parent) {
+                    // The parent can never import, so neither can `i`.
+                    Some(j) if rejected.contains(&j) => {
+                        self.orphans.retain(|&o| o != i);
+                        rejected.push(i);
+                    }
+                    Some(j) if !self.orphans.contains(&j) => {
                         self.orphans.push(j);
                         progressed = true; // new material: retry the loop
                     }
+                    _ => {}
                 }
             }
             if !progressed || self.orphans.is_empty() {
@@ -174,9 +187,9 @@ impl Node {
     /// Imports every block sealed so far — how a joiner or a restarted node
     /// catches up (this also refills a fresh mempool with its own pending
     /// transactions).
-    pub fn sync(&mut self, blocks: &[Arc<Block>]) -> Vec<Reorg> {
-        (0..blocks.len())
-            .flat_map(|idx| self.import(idx, blocks))
+    pub fn sync(&mut self, log: &BlockLog) -> Vec<Reorg> {
+        (0..log.len())
+            .flat_map(|idx| self.import(idx, log))
             .collect()
     }
 
@@ -191,12 +204,12 @@ impl Node {
     /// makes every aggregation (tie-break jitter included) a function of the
     /// round's model set alone, so a lossy run that recovers every artifact
     /// aggregates exactly what its lossless twin does.
-    pub fn confirmed(&mut self, round: u32) -> Arc<Vec<ConfirmedSubmission>> {
+    pub fn confirmed(&mut self, round: u32, log: &BlockLog) -> Arc<Vec<ConfirmedSubmission>> {
         let (chain, registry) = (&self.chain, registry_address());
         let subs = Memo::at(&mut self.memo, chain.head(), round)
             .subs
             .get_or_insert_with(|| {
-                let mut subs = confirmed_submissions(chain, registry, round);
+                let mut subs = submissions_in(chain, registry, round, |h| log.calls(h));
                 subs.sort_by_key(|s| (s.sender, s.tx_hash));
                 Arc::new(subs)
             });
@@ -205,11 +218,15 @@ impl Node {
 
     /// `round`'s `record_aggregate` calls confirmed on this node's chain, in
     /// chain order (the tier-2 readiness input).
-    pub fn agg_records(&mut self, round: u32) -> Arc<Vec<AggregateRecord>> {
+    pub fn agg_records(&mut self, round: u32, log: &BlockLog) -> Arc<Vec<AggregateRecord>> {
         let (chain, registry) = (&self.chain, registry_address());
         let aggs = Memo::at(&mut self.memo, chain.head(), round)
             .aggs
-            .get_or_insert_with(|| Arc::new(confirmed_aggregate_records(chain, registry, round)));
+            .get_or_insert_with(|| {
+                Arc::new(aggregate_records_in(chain, registry, round, |h| {
+                    log.calls(h)
+                }))
+            });
         Arc::clone(aggs)
     }
 }
@@ -217,8 +234,13 @@ impl Node {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
-    use blockfed_chain::{GenesisSpec, SealPolicy};
-    use blockfed_vm::NATIVE_REGISTRY_CODE;
+    use crate::coupling::{
+        confirmed_aggregate_records, confirmed_submissions, record_aggregate_tx, register_tx,
+        submit_model_tx,
+    };
+    use blockfed_chain::{GenesisSpec, Header, SealPolicy};
+    use blockfed_fl::ClientId;
+    use blockfed_vm::{ComboMask, NATIVE_REGISTRY_CODE};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -244,24 +266,158 @@ pub(super) mod tests {
         let x1 = ns[0].seal(10).expect("x1");
         let y1 = ns[1].seal(20).expect("y1");
         let y2 = ns[1].seal(30).expect("y2");
-        let blocks = vec![Arc::clone(&x1), Arc::clone(&y1), Arc::clone(&y2)];
+        let mut log = BlockLog::default();
+        log.push(Arc::clone(&x1), &ns[0].chain);
+        log.push(Arc::clone(&y1), &ns[1].chain);
+        log.push(Arc::clone(&y2), &ns[1].chain);
 
         // Child before parent on a fresh node: the parent is pulled from the
         // log, both import, and extending the head is not a reorg.
-        assert!(ns[2].import(2, &blocks).is_empty());
+        assert!(ns[2].import(2, &log).is_empty());
         assert_eq!(ns[2].chain.head(), y2.hash());
         assert!(ns[2].chain.block(&y1.hash()).is_some());
 
         // On a node whose head is X1, the same import displaces it: exactly
         // one reorg, away from X1, however the equal-height tie resolved.
-        assert!(ns[3].import(0, &blocks).is_empty());
+        assert!(ns[3].import(0, &log).is_empty());
         assert_eq!(ns[3].chain.head(), x1.hash());
-        let reorgs = ns[3].import(2, &blocks);
+        let reorgs = ns[3].import(2, &log);
         assert_eq!(reorgs.len(), 1, "{reorgs:?}");
         assert_eq!(reorgs[0].0, x1.hash());
         assert_eq!(ns[3].chain.head(), y2.hash());
         // Re-importing known blocks changes nothing.
-        assert!(ns[3].sync(&blocks).is_empty());
+        assert!(ns[3].sync(&log).is_empty());
         assert_eq!(ns[3].chain.head(), y2.hash());
+    }
+
+    #[test]
+    fn import_drops_the_orphans_of_a_rejected_parent_and_returns() {
+        let mut ns = nodes(1);
+        let node = &mut ns[0];
+        let genesis = node.chain.head();
+        let miner = node.key.address();
+        // Two permanently invalid children of genesis: a broken tx root, and
+        // a timestamp not after the parent's.
+        let mut bad_root = node
+            .chain
+            .build_candidate(miner, Vec::new(), 10, &mut node.runtime);
+        bad_root.header.tx_root = H256::from_bytes([1; 32]);
+        let stale = node
+            .chain
+            .build_candidate(miner, Vec::new(), 0, &mut node.runtime);
+        for bad in [bad_root, stale] {
+            // A well-formed child of the invalid block, logged after it.
+            let child = Block {
+                header: Header {
+                    parent: bad.hash(),
+                    number: bad.number() + 1,
+                    timestamp_ns: bad.header.timestamp_ns + 1,
+                    ..bad.header.clone()
+                },
+                transactions: Vec::new(),
+            };
+            let child_hash = child.hash();
+            let mut log = BlockLog::default();
+            log.push(Arc::new(bad), &node.chain);
+            log.push(Arc::new(child), &node.chain);
+            for _ in 0..3 {
+                assert!(node.import(1, &log).is_empty());
+                assert!(!node.chain.contains(&child_hash));
+                assert!(node.orphans.is_empty(), "{:?}", node.orphans);
+            }
+            assert!(node.sync(&log).is_empty());
+            assert!(node.orphans.is_empty(), "{:?}", node.orphans);
+            assert_eq!(node.chain.head(), genesis);
+        }
+    }
+
+    /// Asserts that `node`'s log-backed reads equal the chain rescan for
+    /// rounds 1 and 2.
+    fn assert_reads_match_the_rescan(node: &mut Node, log: &BlockLog) {
+        let registry = registry_address();
+        for round in 1..=2 {
+            let mut subs = confirmed_submissions(&node.chain, registry, round);
+            subs.sort_by_key(|s| (s.sender, s.tx_hash));
+            assert_eq!(*node.confirmed(round, log), subs, "round {round}");
+            let aggs = confirmed_aggregate_records(&node.chain, registry, round);
+            assert_eq!(*node.agg_records(round, log), aggs, "round {round}");
+        }
+    }
+
+    #[test]
+    fn log_backed_reads_equal_the_chain_rescan_in_any_delivery_order() {
+        let registry = registry_address();
+        let mut ns = nodes(7);
+        let update = |client: usize, round: u32| {
+            ModelUpdate::new(ClientId(client), round, vec![client as f32; 4], 10)
+                .with_payload_bytes(1_000)
+        };
+        // Peers 0–2 register and submit in rounds 1 and 2, and peer 2 records
+        // a round-1 aggregate. Peer 3 submits unregistered: its call reverts.
+        let mut txs = Vec::new();
+        for (i, node) in ns.iter_mut().enumerate().take(3) {
+            txs.push(node.publish(|key, nonce| register_tx(registry, key, nonce)));
+            for round in 1..=2 {
+                let u = update(i, round);
+                txs.push(node.publish(|key, nonce| submit_model_tx(&u, registry, key, nonce)));
+            }
+        }
+        let (mask, agg) = (
+            ComboMask::from_members([0, 1, 2]),
+            H256::from_bytes([9; 32]),
+        );
+        txs.push(
+            ns[2].publish(|key, nonce| record_aggregate_tx(1, mask, agg, registry, key, nonce)),
+        );
+        let u = update(3, 1);
+        txs.push(ns[3].publish(|key, nonce| submit_model_tx(&u, registry, key, nonce)));
+
+        // Fork A (miner 0) carries everything; fork B (miner 1) carries only
+        // peers 0 and 1, and is one block longer. Logged in seal order:
+        // 0 = A1, 1 = B1, 2 = A2, 3 = B2, 4 = B3.
+        let mut log = BlockLog::default();
+        for tx in &txs {
+            ns[0].admit(tx.clone());
+        }
+        let peer0 = ns[0].key.address();
+        for tx in txs.iter().filter(|tx| tx.from == peer0) {
+            ns[1].admit(tx.clone());
+        }
+        for (miner, at) in [(0, 10), (1, 11), (0, 20), (1, 21), (1, 31)] {
+            let block = ns[miner].seal(at).expect("sealed");
+            log.push(block, &ns[miner].chain);
+        }
+        let a1 = log.block(0).hash();
+        let receipts = ns[0].chain.receipts(&a1).expect("A1 executed");
+        assert!(receipts.iter().any(|r| !r.is_success()), "a call failed");
+
+        // Fresh nodes in three delivery orders (in order; children first;
+        // interleaved), and miner 0 switching to fork B.
+        let orders: [(usize, &[usize]); 4] = [
+            (4, &[0, 2, 1, 3, 4]),
+            (5, &[4, 2, 0, 3, 1]),
+            (6, &[2, 4, 1, 3, 0]),
+            (0, &[1, 3, 4]),
+        ];
+        let mut reorged = 0;
+        for (peer, order) in orders {
+            for &idx in order {
+                reorged += ns[peer].import(idx, &log).len();
+                assert_reads_match_the_rescan(&mut ns[peer], &log);
+                if (peer, idx) == (4, 2) {
+                    // On fork A, round 1 holds three submissions (the
+                    // reverted fourth excluded) and the aggregate record.
+                    assert_eq!(ns[peer].chain.head(), log.block(2).hash());
+                    assert_eq!(ns[peer].confirmed(1, &log).len(), 3);
+                    assert_eq!(ns[peer].agg_records(1, &log).len(), 1);
+                }
+            }
+            assert_eq!(ns[peer].chain.head(), log.block(4).hash());
+        }
+        assert!(reorged >= 2, "both switching nodes reorged: {reorged}");
+        // On fork B: two submissions per round and no record.
+        assert_eq!(ns[0].confirmed(1, &log).len(), 2);
+        assert_eq!(ns[0].confirmed(2, &log).len(), 2);
+        assert!(ns[0].agg_records(1, &log).is_empty());
     }
 }

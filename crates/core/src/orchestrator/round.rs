@@ -16,6 +16,7 @@ use blockfed_nn::Sequential;
 use blockfed_sim::{RngHub, SimTime};
 use rand::rngs::StdRng;
 
+use super::block_log::BlockLog;
 use super::node::Node;
 use super::DecentralizedConfig;
 use crate::committee::CommitteeSpec;
@@ -221,6 +222,8 @@ pub(super) struct Tier1Pending {
     pub done_at: SimTime,
     pub weight: u64,
     pub members: Vec<usize>,
+    /// The aggregate's parameters: the peer's own share of the merge.
+    pub params: Vec<f32>,
 }
 
 /// What one tier-2 attempt found.
@@ -304,6 +307,7 @@ impl<'a> RoundEngine<'a> {
         round: u32,
         live: &[bool],
         test: &Dataset,
+        log: &BlockLog,
     ) -> (Vec<Dropped>, Option<Aggregated>) {
         let bar = (0..live.len())
             .filter(|&i| live[i] && self.layout.same(i, peer))
@@ -314,7 +318,7 @@ impl<'a> RoundEngine<'a> {
         // is satisfied. `ready` is monotone in the arrival count and the
         // count can never exceed either side of the intersection, so the
         // upper bound skips the membership scan for the long waiting phase.
-        let subs = node.confirmed(round);
+        let subs = node.confirmed(round, log);
         let upper_bound = subs.len().min(node.model_store.len());
         if !policy.wait.ready(upper_bound, bar) || upper_bound == 0 {
             return (Vec::new(), None);
@@ -436,7 +440,7 @@ impl<'a> RoundEngine<'a> {
     /// every *needed* committee — one with a live member or a confirmed
     /// `record_aggregate` for the round — has a confirmed record whose
     /// aggregate the peer holds, then merges all committee aggregates by
-    /// FedAvg weight in committee order (its own contributes `own_params`).
+    /// FedAvg weight in committee order (its own contributes `own.params`).
     /// The record chosen per committee is its lowest-indexed sender with
     /// parameters at hand (ties — a sender's tier-2 and tier-1 records —
     /// resolve to the earliest in chain order, the tier-1 one), so the merge
@@ -446,12 +450,12 @@ impl<'a> RoundEngine<'a> {
         node: &mut Node,
         peer: usize,
         own: &Tier1Pending,
-        own_params: &[f32],
         live: &[bool],
         artifacts: &[AggArtifact],
+        log: &BlockLog,
     ) -> Tier2 {
         let (count, my_com) = (self.layout.count, self.layout.of[peer]);
-        let records = node.agg_records(own.round);
+        let records = node.agg_records(own.round, log);
         // Per foreign committee, the best record by (artifact missing,
         // sender index): a held one if any record's artifact is held, else
         // the one whose artifact is worth pulling.
@@ -476,12 +480,12 @@ impl<'a> RoundEngine<'a> {
             let wanted = wanted.map(|p| p.2.agg_hash).collect();
             return Tier2::Waiting { wanted };
         }
-        let mut acc = vec![0f64; own_params.len()];
+        let mut acc = vec![0f64; own.params.len()];
         let mut total_w = 0f64;
         let mut members: BTreeSet<usize> = own.members.iter().copied().collect();
         for (com, picked) in pick.iter().enumerate() {
             let (w, params) = if com == my_com {
-                (own.weight, own_params)
+                (own.weight, &own.params[..])
             } else if let Some((_, _, rec)) = picked {
                 members.extend(rec.combo_mask.members());
                 let art = &artifacts[node.agg_store[&rec.agg_hash]];
@@ -586,12 +590,13 @@ mod tests {
         RoundEngine::new(cfg, RngHub::new(cfg.seed), &addrs, scratch.duplicate())
     }
 
-    /// Has `ns[0]` admit `txs` and seal them into its chain.
-    fn confirm(ns: &mut [Node], txs: Vec<Transaction>, now_ns: u64) {
+    /// Has `ns[0]` admit `txs`, seal them into its chain and log the block.
+    fn confirm(ns: &mut [Node], txs: Vec<Transaction>, now_ns: u64, log: &mut BlockLog) {
         for tx in txs {
             ns[0].admit(tx);
         }
-        ns[0].seal(now_ns).expect("sealed");
+        let block = ns[0].seal(now_ns).expect("sealed");
+        log.push(block, &ns[0].chain);
     }
 
     /// Every node's round-`round` update (client `i` shifted by `i + 1`
@@ -632,16 +637,17 @@ mod tests {
     fn tier1_waits_for_its_policy_then_matches_a_direct_aggregation() {
         let (test, mut model) = scoring();
         let mut ns = nodes(3);
+        let mut log = BlockLog::default();
         let (updates, txs) = submissions(&mut ns, &model.params_flat(), 1, false);
-        confirm(&mut ns, txs, 10);
-        assert_eq!(ns[0].confirmed(1).len(), 3);
+        confirm(&mut ns, txs, 10, &mut log);
+        assert_eq!(ns[0].confirmed(1, &log).len(), 3);
         let live = [true; 3];
 
         let wait_all = DecentralizedConfig::default();
         let mut eng = engine(&wait_all, &ns, &model);
         hold(&mut ns[0], &updates[0]);
         hold(&mut ns[0], &updates[1]);
-        let (dropped, done) = eng.tier1(&mut ns[0], 0, 1, &live, &test);
+        let (dropped, done) = eng.tier1(&mut ns[0], 0, 1, &live, &test, &log);
         assert!(dropped.is_empty() && done.is_none(), "two of three held");
 
         // FirstK(2) is satisfied by the same two artifacts.
@@ -649,11 +655,11 @@ mod tests {
             wait_policy: WaitPolicy::FirstK(2),
             ..DecentralizedConfig::default()
         };
-        let (_, done) = engine(&first2, &ns, &model).tier1(&mut ns[0], 0, 1, &live, &test);
+        let (_, done) = engine(&first2, &ns, &model).tier1(&mut ns[0], 0, 1, &live, &test, &log);
         assert_eq!(done.expect("ready at two").usable.len(), 2);
 
         hold(&mut ns[0], &updates[2]);
-        let (dropped, done) = eng.tier1(&mut ns[0], 0, 1, &live, &test);
+        let (dropped, done) = eng.tier1(&mut ns[0], 0, 1, &live, &test, &log);
         let done = done.expect("ready with all three held");
         assert!(dropped.is_empty());
 
@@ -679,10 +685,11 @@ mod tests {
     fn tier1_reports_a_malformed_update_and_never_aggregates_it() {
         let (test, model) = scoring();
         let mut ns = nodes(3);
+        let mut log = BlockLog::default();
         let (_, txs) = submissions(&mut ns, &model.params_flat(), 1, false);
-        confirm(&mut ns, txs, 10);
+        confirm(&mut ns, txs, 10, &mut log);
         let (updates, txs) = submissions(&mut ns, &model.params_flat(), 2, true);
-        confirm(&mut ns, txs, 20);
+        confirm(&mut ns, txs, 20, &mut log);
         let live = [true; 3];
 
         // Alone, the poisoned artifact is reported but nothing aggregates.
@@ -691,14 +698,16 @@ mod tests {
             ..DecentralizedConfig::default()
         };
         hold(&mut ns[0], &updates[2]);
-        let (dropped, done) = engine(&first1, &ns, &model).tier1(&mut ns[0], 0, 2, &live, &test);
+        let (dropped, done) =
+            engine(&first1, &ns, &model).tier1(&mut ns[0], 0, 2, &live, &test, &log);
         assert_eq!(dropped, vec![(ClientId(2), MALFORMED)]);
         assert!(done.is_none());
 
         hold(&mut ns[0], &updates[0]);
         hold(&mut ns[0], &updates[1]);
         let wait_all = DecentralizedConfig::default();
-        let (dropped, done) = engine(&wait_all, &ns, &model).tier1(&mut ns[0], 0, 2, &live, &test);
+        let (dropped, done) =
+            engine(&wait_all, &ns, &model).tier1(&mut ns[0], 0, 2, &live, &test, &log);
         assert_eq!(dropped, vec![(ClientId(2), MALFORMED)]);
         assert_eq!(MALFORMED.0, "malformed");
         let done = done.expect("two finite updates remain");
@@ -711,11 +720,12 @@ mod tests {
     fn aggregated_fingerprints_stay_aligned_through_screening_and_reweighting() {
         let (test, model) = scoring();
         let mut ns = nodes(3);
+        let mut log = BlockLog::default();
         let (_, txs) = submissions(&mut ns, &model.params_flat(), 1, false);
-        confirm(&mut ns, txs, 10);
+        confirm(&mut ns, txs, 10, &mut log);
         let (updates, txs) = submissions(&mut ns, &model.params_flat(), 2, true);
-        confirm(&mut ns, txs, 20);
-        confirm(&mut ns, Vec::new(), 30); // bury round 2 one block deeper
+        confirm(&mut ns, txs, 20, &mut log);
+        confirm(&mut ns, Vec::new(), 30, &mut log); // bury round 2 one block deeper
         for u in &updates {
             hold(&mut ns[0], u);
         }
@@ -724,7 +734,7 @@ mod tests {
             ..DecentralizedConfig::default()
         };
         let (dropped, done) =
-            engine(&decayed, &ns, &model).tier1(&mut ns[0], 0, 2, &[true; 3], &test);
+            engine(&decayed, &ns, &model).tier1(&mut ns[0], 0, 2, &[true; 3], &test, &log);
         assert_eq!(dropped, vec![(ClientId(2), MALFORMED)]);
         let done = done.expect("two finite updates remain");
         let rehashed: Vec<H256> = done.usable.iter().map(model_fingerprint).collect();
@@ -739,6 +749,7 @@ mod tests {
     fn tier2_waits_for_the_other_committees_artifact_then_merges_by_weight() {
         let (_, model) = scoring();
         let mut ns = nodes(4);
+        let mut log = BlockLog::default();
         let two = DecentralizedConfig {
             committees: Some(CommitteeSpec::contiguous(2)),
             ..DecentralizedConfig::default()
@@ -761,24 +772,26 @@ mod tests {
                 record_aggregate_tx(1, mask, theirs.hash, registry, key, nonce)
             }),
         ];
-        confirm(&mut ns, txs, 10);
-        assert_eq!(ns[0].agg_records(1).len(), 1);
+        confirm(&mut ns, txs, 10, &mut log);
+        assert_eq!(ns[0].agg_records(1, &log).len(), 1);
 
+        let mine = vec![1.0f32; 8];
         let own = Tier1Pending {
             round: 1,
             done_at: SimTime::ZERO,
             weight: 30,
             members: vec![0, 1],
+            params: mine.clone(),
         };
-        let (mine, live) = (vec![1.0f32; 8], [true; 4]);
+        let live = [true; 4];
         let artifacts = [theirs];
         let tier2 = |ns: &mut [Node], peer: usize, live: &[bool]| match eng.tier2(
             &mut ns[peer],
             peer,
             &own,
-            &mine,
             live,
             &artifacts,
+            &log,
         ) {
             Tier2::Waiting { wanted } => Err(wanted),
             Tier2::Merged { params, members } => Ok((params, members)),
