@@ -9,10 +9,10 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use blockfed_crypto::{H160, H256};
 use blockfed_data::Dataset;
 use blockfed_fl::{
-    aggregate_with, AggregationOutcome, CandidateEvaluator, ClientId, ModelUpdate, StalenessDecay,
-    Strategy, WaitPolicy,
+    aggregate_with, AggregationOutcome, CandidateEvaluator, CandidateSource, ClientId, ModelUpdate,
+    StalenessDecay, Strategy, WaitPolicy,
 };
-use blockfed_nn::Sequential;
+use blockfed_nn::{InferScratch, Sequential};
 use blockfed_sim::{RngHub, SimTime};
 use rand::rngs::StdRng;
 
@@ -25,22 +25,51 @@ use crate::policy::{
     ControllerSpec, PolicyController, PolicyDecision, PolicyEvent, RoundObservation,
 };
 
-/// Scores candidate aggregates on a test set using one scratch model per
-/// compute worker, so a round's combination search (the paper's "consider"
-/// loop, exponential in peer count) runs across cores. Every evaluation
-/// resets its scratch's parameters first, so scores are identical at any
-/// pool size.
+/// One compute worker's scoring state, kept for the whole run: a scratch
+/// model and the inference scratch it is scored with, so scoring allocates
+/// nothing per candidate.
+struct Scorer {
+    model: Sequential,
+    infer: InferScratch,
+}
+
+impl Scorer {
+    /// Test-set accuracy of `params`: `evaluate(test).accuracy`, without
+    /// the loss or the allocations.
+    fn accuracy(&mut self, params: &[f32], test: &Dataset) -> f64 {
+        self.model.set_params_flat(params);
+        self.model.accuracy(test, &mut self.infer)
+    }
+}
+
+/// Scores candidate aggregates on a test set with one [`Scorer`] per compute
+/// worker, so a round's combination search (the paper's "consider" loop,
+/// exponential in peer count) runs across cores. Every score is a pure
+/// function of its candidate, so scores are identical at any pool size.
 struct PoolScorer<'a> {
-    pool: &'a mut [Sequential],
+    pool: &'a mut [Scorer],
     test: &'a Dataset,
 }
 
 impl CandidateEvaluator for PoolScorer<'_> {
     fn score_batch(&mut self, candidates: &[&[f32]]) -> Vec<f64> {
         let test = self.test;
-        blockfed_compute::par_map_with(self.pool, candidates, |model, params| {
-            model.set_params_flat(params);
-            model.evaluate(test).accuracy
+        blockfed_compute::par_map_with(self.pool, candidates, |w, params| w.accuracy(params, test))
+    }
+
+    /// One dispatch in which each worker builds every candidate of its share
+    /// into its own accumulator and parameter buffer, then scores it.
+    fn score_source(&mut self, source: &CandidateSource<'_>) -> Vec<f64> {
+        let (test, dim) = (self.test, source.dim());
+        let mut workers: Vec<_> = self
+            .pool
+            .iter_mut()
+            .map(|w| (w, vec![0.0f64; dim], vec![0.0f32; dim]))
+            .collect();
+        let indices: Vec<usize> = (0..source.len()).collect();
+        blockfed_compute::par_map_with(&mut workers, &indices, |(w, acc, params), &i| {
+            source.build(i, acc, params);
+            w.accuracy(params, test)
         })
     }
 }
@@ -247,11 +276,11 @@ pub(super) struct RoundEngine<'a> {
     pub layout: Layout,
     pub clients: HashMap<H160, ClientId>,
     pub policy: PolicyEngine,
-    /// One scratch model per compute worker (capped — beyond 8 the
-    /// combination batches are too small to split further). Extra scratches
-    /// are parameter-level duplicates, so the `make_model` RNG stream — and
-    /// with it every result — is independent of the worker count.
-    pool: Vec<Sequential>,
+    /// One scorer per compute worker (capped — beyond 8 the combination
+    /// batches are too small to split further). Extra scratch models are
+    /// parameter-level duplicates, so the `make_model` RNG stream — and with
+    /// it every result — is independent of the worker count.
+    pool: Vec<Scorer>,
 }
 
 impl<'a> RoundEngine<'a> {
@@ -263,11 +292,13 @@ impl<'a> RoundEngine<'a> {
         addrs: &[H160],
         scratch: Sequential,
     ) -> Self {
-        let mut pool = vec![scratch];
-        while pool.len() < blockfed_compute::num_threads().min(8) {
-            let dup = pool[0].duplicate();
-            pool.push(dup);
-        }
+        let workers = blockfed_compute::num_threads().clamp(1, 8);
+        let scorer = |model| Scorer {
+            model,
+            infer: InferScratch::default(),
+        };
+        let mut pool: Vec<Scorer> = (1..workers).map(|_| scorer(scratch.duplicate())).collect();
+        pool.insert(0, scorer(scratch));
         RoundEngine {
             cfg,
             hub,
@@ -405,7 +436,7 @@ impl<'a> RoundEngine<'a> {
         // it would drop everything, skip it for liveness.
         if let Some(min) = self.cfg.degeneracy_min_classes {
             let refs: Vec<&ModelUpdate> = kept.iter().map(|(_, u)| u).collect();
-            let scratch = &mut self.pool[0];
+            let scratch = &mut self.pool[0].model;
             let flagged = flagged_indices(crate::anomaly::detect_degenerate(&refs, min, |u| {
                 scratch.set_params_flat(&u.params);
                 scratch.evaluate_confusion(test)
@@ -422,9 +453,8 @@ impl<'a> RoundEngine<'a> {
         };
         // Standalone fitness scores are independent per model: fan them
         // across the scratch pool.
-        let accs = blockfed_compute::par_map_with(&mut self.pool[..], &kept, |model, (_, u)| {
-            model.set_params_flat(&u.params);
-            model.evaluate(test).accuracy
+        let accs = blockfed_compute::par_map_with(&mut self.pool[..], &kept, |w, (_, u)| {
+            w.accuracy(&u.params, test)
         });
         if accs.iter().any(|a| *a >= th) {
             Some(drop_flagged(kept, |i, _| accs[i] < th, UNFIT, dropped))

@@ -54,29 +54,77 @@ impl std::error::Error for AggregateError {}
 /// # Ok::<(), blockfed_fl::AggregateError>(())
 /// ```
 pub fn fed_avg(updates: &[&ModelUpdate]) -> Result<Vec<f32>, AggregateError> {
-    let first = updates.first().ok_or(AggregateError::Empty)?;
-    let dim = first.params.len();
-    let mut total_weight = 0.0f64;
-    for u in updates {
-        if u.params.len() != dim {
-            return Err(AggregateError::ShapeMismatch {
-                expected: dim,
-                got: u.params.len(),
-            });
-        }
-        if !u.is_finite() {
-            return Err(AggregateError::NonFinite);
-        }
-        total_weight += u.sample_count as f64;
-    }
-    if total_weight == 0.0 {
-        return Err(AggregateError::ZeroWeight);
-    }
+    let (dim, total_weight) = validate(updates.iter().map(|u| UpdateCheck::of(u)))?;
     let weights: Vec<f64> = updates
         .iter()
         .map(|u| u.sample_count as f64 / total_weight)
         .collect();
     Ok(weighted_mean(updates, &weights, dim))
+}
+
+/// What [`fed_avg`] checks of one update — its length, finiteness and
+/// weight — taken once, so a search over many combinations of the same
+/// updates scans each update's parameters once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UpdateCheck {
+    len: usize,
+    finite: bool,
+    weight: f64,
+}
+
+impl UpdateCheck {
+    pub(crate) fn of(u: &ModelUpdate) -> Self {
+        UpdateCheck {
+            len: u.params.len(),
+            finite: u.is_finite(),
+            weight: u.sample_count as f64,
+        }
+    }
+}
+
+/// [`fed_avg`]'s validation of one member list, in member order: the common
+/// parameter count and the total sample weight, or the first error
+/// [`fed_avg`] returns for those members.
+pub(crate) fn validate(
+    members: impl IntoIterator<Item = UpdateCheck>,
+) -> Result<(usize, f64), AggregateError> {
+    let mut members = members.into_iter();
+    let first = members.next().ok_or(AggregateError::Empty)?;
+    let dim = first.len;
+    let mut total_weight = 0.0f64;
+    for u in std::iter::once(first).chain(members) {
+        if u.len != dim {
+            return Err(AggregateError::ShapeMismatch {
+                expected: dim,
+                got: u.len,
+            });
+        }
+        if !u.finite {
+            return Err(AggregateError::NonFinite);
+        }
+        total_weight += u.weight;
+    }
+    if total_weight == 0.0 {
+        return Err(AggregateError::ZeroWeight);
+    }
+    Ok((dim, total_weight))
+}
+
+/// Adds `w · p` of each `(update, w)` into `acc`, update by update in
+/// order, for the coordinates `off..off + acc.len()` — the one accumulation
+/// behind every FedAvg, so a candidate built into a worker's buffer gets the
+/// bits [`fed_avg`] would return.
+pub(crate) fn accumulate<'a>(
+    acc: &mut [f64],
+    off: usize,
+    members: impl IntoIterator<Item = (&'a ModelUpdate, f64)>,
+) {
+    for (u, w) in members {
+        let params = &u.params[off..off + acc.len()];
+        for (o, &p) in acc.iter_mut().zip(params) {
+            *o += w * f64::from(p);
+        }
+    }
 }
 
 /// The weighted-mean kernel: coordinates are independent, so the
@@ -86,12 +134,11 @@ pub fn fed_avg(updates: &[&ModelUpdate]) -> Result<Vec<f32>, AggregateError> {
 fn weighted_mean(updates: &[&ModelUpdate], weights: &[f64], dim: usize) -> Vec<f32> {
     let mut out = vec![0.0f64; dim];
     let kernel = |off: usize, chunk: &mut [f64]| {
-        for (u, &w) in updates.iter().zip(weights) {
-            let params = &u.params[off..off + chunk.len()];
-            for (o, &p) in chunk.iter_mut().zip(params) {
-                *o += w * f64::from(p);
-            }
-        }
+        accumulate(
+            chunk,
+            off,
+            updates.iter().copied().zip(weights.iter().copied()),
+        );
     };
     if blockfed_compute::worth_parallelizing(dim * updates.len()) {
         blockfed_compute::par_chunks_mut(&mut out, 1, kernel);

@@ -34,5 +34,7 @@ pub use fedavg::{fed_avg, AggregateError};
 pub use round::{RoundRecord, VanillaFl, VanillaFlConfig, VanillaRun};
 pub use selector::{all_combinations, Combination};
 pub use staleness::{AgeOfBlock, StalenessDecay};
-pub use strategy::{aggregate, aggregate_with, AggregationOutcome, CandidateEvaluator, Strategy};
+pub use strategy::{
+    aggregate, aggregate_with, AggregationOutcome, CandidateEvaluator, CandidateSource, Strategy,
+};
 pub use update::{ClientId, ModelUpdate};

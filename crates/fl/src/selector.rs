@@ -42,18 +42,22 @@ impl Combination {
     /// The paper's label style: members concatenated with the owner first if
     /// present (e.g. client B labels `{A, B}` as `"B,A"`). With no owner the
     /// label is plain member order (`"A,B"`).
+    ///
+    /// Written straight into one `String` sized for letter ids (`client#N`
+    /// ids, from 26 up, take more): the orchestrator labels every candidate
+    /// of every "consider" search.
     pub fn label(&self, owner: Option<ClientId>) -> String {
-        let mut ids: Vec<ClientId> = self.0.clone();
-        if let Some(o) = owner {
-            if let Some(pos) = ids.iter().position(|&c| c == o) {
-                let me = ids.remove(pos);
-                ids.insert(0, me);
+        use std::fmt::Write;
+        let owner = owner.filter(|&o| self.contains(o));
+        let rest = self.0.iter().copied().filter(|&c| Some(c) != owner);
+        let mut out = String::with_capacity(2 * self.0.len());
+        for (i, id) in owner.into_iter().chain(rest).enumerate() {
+            if i > 0 {
+                out.push(',');
             }
+            write!(out, "{id}").expect("writing to a String cannot fail");
         }
-        ids.iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
+        out
     }
 }
 
@@ -151,6 +155,56 @@ mod tests {
         // Owner not in the combination leaves the order untouched.
         assert_eq!(c.label(Some(ClientId(2))), "A,B");
         assert_eq!(c.to_string(), "A,B");
+    }
+
+    /// The label as it was first written: clone the members, move the
+    /// owner to the front, format each id on its own and join.
+    fn joined_label(c: &Combination, owner: Option<ClientId>) -> String {
+        let mut ids: Vec<ClientId> = c.members().to_vec();
+        if let Some(o) = owner {
+            if let Some(pos) = ids.iter().position(|&c| c == o) {
+                let me = ids.remove(pos);
+                ids.insert(0, me);
+            }
+        }
+        ids.iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+
+    #[test]
+    fn label_matches_the_joined_form() {
+        let letters = Combination::new(vec![ClientId(4), ClientId(0), ClientId(2)]);
+        let wide = Combination::new(vec![ClientId(30), ClientId(1), ClientId(26), ClientId(99)]);
+        let single = Combination::new(vec![ClientId(27)]);
+        for c in [&letters, &wide, &single] {
+            let owners = [
+                None,
+                Some(ClientId(2)),
+                Some(ClientId(30)),
+                Some(ClientId(27)),
+            ];
+            for owner in owners
+                .into_iter()
+                .chain(c.members().iter().map(|&m| Some(m)))
+            {
+                assert_eq!(
+                    c.label(owner),
+                    joined_label(c, owner),
+                    "{c:?} owner {owner:?}"
+                );
+            }
+        }
+        // The three cases spelled out: an owner present, no owner, and ids
+        // past the alphabet.
+        assert_eq!(letters.label(Some(ClientId(2))), "C,A,E");
+        assert_eq!(letters.label(None), "A,C,E");
+        assert_eq!(
+            wide.label(Some(ClientId(30))),
+            "client#30,B,client#26,client#99"
+        );
+        assert_eq!(Combination::new(Vec::new()).label(None), "");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use rand::Rng;
 
-use crate::fedavg::{fed_avg, AggregateError};
+use crate::fedavg::{accumulate, fed_avg, validate, AggregateError, UpdateCheck};
 use crate::selector::{all_combinations, Combination};
 use crate::update::{ClientId, ModelUpdate};
 
@@ -49,16 +49,122 @@ pub struct AggregationOutcome {
     pub candidates: Vec<(Combination, f64)>,
 }
 
-/// Scores batches of candidate parameter vectors (higher is better;
-/// typically test-set accuracy).
+/// Parameters the default [`CandidateEvaluator::score_source`] builds
+/// before handing them to [`CandidateEvaluator::score_batch`]: 4 MiB of
+/// `f32`s per chunk, whatever the model size.
+const SOURCE_CHUNK_FLOATS: usize = 1 << 20;
+
+/// The "consider" search's candidates, built on demand: candidate `i` is the
+/// FedAvg of the `i`-th combination's members, written into a caller's
+/// buffer. Only [`aggregate_with`] constructs one, after checking that every
+/// combination can be averaged, so building never fails.
+pub struct CandidateSource<'a> {
+    updates: &'a [&'a ModelUpdate],
+    /// Per update: its client's bit in a combination mask.
+    bits: Vec<u32>,
+    /// Per combination: its member mask and total sample weight.
+    combos: Vec<(u32, f64)>,
+    dim: usize,
+}
+
+impl<'a> CandidateSource<'a> {
+    /// Checks each update once, then every combination of `clients` (at
+    /// most 20, as [`all_combinations`] enforces) against [`fed_avg`]'s rules
+    /// in `combos` order, returning the error [`fed_avg`] would return for
+    /// the first combination that fails.
+    fn new(
+        updates: &'a [&'a ModelUpdate],
+        clients: &[ClientId],
+        combos: &[Combination],
+    ) -> Result<Self, AggregateError> {
+        let bit = |c: &ClientId| 1u32 << clients.binary_search(c).expect("client is listed");
+        let checks: Vec<UpdateCheck> = updates.iter().map(|u| UpdateCheck::of(u)).collect();
+        let bits: Vec<u32> = updates.iter().map(|u| bit(&u.client)).collect();
+        let mut masks = Vec::with_capacity(combos.len());
+        for combo in combos {
+            let mask = combo.members().iter().fold(0, |m, c| m | bit(c));
+            let members = checks.iter().zip(&bits).filter(|(_, &b)| mask & b != 0);
+            let (_, total) = validate(members.map(|(c, _)| *c))?;
+            masks.push((mask, total));
+        }
+        Ok(CandidateSource {
+            updates,
+            bits,
+            combos: masks,
+            dim: updates.first().map_or(0, |u| u.params.len()),
+        })
+    }
+
+    /// Number of candidates.
+    pub fn len(&self) -> usize {
+        self.combos.len()
+    }
+
+    /// Whether there are no candidates.
+    pub fn is_empty(&self) -> bool {
+        self.combos.is_empty()
+    }
+
+    /// Parameter count of every candidate.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Writes candidate `index` into `out`, accumulating in `acc`: the
+    /// bits [`fed_avg`] returns for that combination's members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or either buffer is not
+    /// [`CandidateSource::dim`] long.
+    pub fn build(&self, index: usize, acc: &mut [f64], out: &mut [f32]) {
+        assert_eq!(acc.len(), self.dim, "accumulator length");
+        assert_eq!(out.len(), self.dim, "candidate buffer length");
+        let (mask, total) = self.combos[index];
+        let members = self.updates.iter().zip(&self.bits);
+        let weighted = members
+            .filter(|(_, &b)| mask & b != 0)
+            .map(|(u, _)| (*u, u.sample_count as f64 / total));
+        acc.fill(0.0);
+        accumulate(acc, 0, weighted);
+        for (o, &a) in out.iter_mut().zip(acc.iter()) {
+            *o = a as f32;
+        }
+    }
+}
+
+/// Scores candidate parameter vectors (higher is better; typically test-set
+/// accuracy).
 ///
-/// Receiving whole batches lets evaluators score candidates concurrently —
-/// the decentralized orchestrator fans a round's combination search across
-/// the compute pool through this trait. Any `FnMut(&[f32]) -> f64` closure is
-/// an evaluator (scoring serially), so closure-based call sites keep working.
+/// Any `FnMut(&[f32]) -> f64` closure is an evaluator (scoring serially), so
+/// closure-based call sites keep working. The decentralized orchestrator's
+/// evaluator overrides [`CandidateEvaluator::score_source`] to build and
+/// score each "consider" candidate on the compute worker that owns its
+/// buffers.
 pub trait CandidateEvaluator {
     /// Returns one score per candidate, in order.
     fn score_batch(&mut self, candidates: &[&[f32]]) -> Vec<f64>;
+
+    /// Returns one score per candidate of `source`, in order. The default
+    /// builds the candidates in fixed-size chunks and scores each chunk with
+    /// [`CandidateEvaluator::score_batch`], so memory is bounded by one chunk
+    /// rather than the whole search.
+    fn score_source(&mut self, source: &CandidateSource<'_>) -> Vec<f64> {
+        let dim = source.dim();
+        let chunk = (SOURCE_CHUNK_FLOATS / dim.max(1)).clamp(1, source.len().max(1));
+        let mut acc = vec![0.0f64; dim];
+        let mut built = vec![vec![0.0f32; dim]; chunk];
+        let mut scores = Vec::with_capacity(source.len());
+        for start in (0..source.len()).step_by(chunk) {
+            let built = &mut built[..chunk.min(source.len() - start)];
+            for (i, buf) in (start..).zip(built.iter_mut()) {
+                source.build(i, &mut acc, buf);
+            }
+            let refs: Vec<&[f32]> = built.iter().map(Vec::as_slice).collect();
+            scores.extend(self.score_batch(&refs));
+        }
+        scores
+    }
 }
 
 impl<F: FnMut(&[f32]) -> f64> CandidateEvaluator for F {
@@ -83,12 +189,15 @@ pub fn aggregate<R: Rng + ?Sized>(
 }
 
 /// [`aggregate`] with an explicit [`CandidateEvaluator`], allowing candidate
-/// scoring to run in parallel. Candidate *construction* (the per-combination
-/// FedAvg) always fans out across the compute pool.
+/// scoring to run in parallel. "Consider" hands the evaluator a
+/// [`CandidateSource`] and keeps only the scores; the winner's parameters are
+/// recomputed with [`fed_avg`] after the tie-break.
 ///
 /// # Errors
 ///
-/// Returns [`AggregateError`] if the updates cannot be aggregated at all.
+/// Returns [`AggregateError`] if the updates cannot be aggregated at all;
+/// for "consider", the error [`fed_avg`] returns on the first combination
+/// that cannot be averaged.
 pub fn aggregate_with<E: CandidateEvaluator + ?Sized, R: Rng + ?Sized>(
     strategy: Strategy,
     updates: &[&ModelUpdate],
@@ -118,54 +227,27 @@ pub fn aggregate_with<E: CandidateEvaluator + ?Sized, R: Rng + ?Sized>(
                 c.dedup();
                 c
             };
-            // Build every candidate aggregate in parallel once there is
-            // enough work: each combination's FedAvg is independent.
             let combos: Vec<Combination> = all_combinations(&clients);
-            let average_of = |combo: &Combination| {
-                let member_updates: Vec<&ModelUpdate> = updates
-                    .iter()
-                    .copied()
-                    .filter(|u| combo.contains(u.client))
-                    .collect();
-                fed_avg(&member_updates)
-            };
-            let dim = updates[0].params.len();
-            let averaged: Vec<Result<Vec<f32>, AggregateError>> =
-                if blockfed_compute::worth_parallelizing(combos.len() * dim) {
-                    blockfed_compute::par_map(&combos, average_of)
-                } else {
-                    combos.iter().map(average_of).collect()
-                };
-            let mut params_list = Vec::with_capacity(combos.len());
-            for result in averaged {
-                params_list.push(result?);
-            }
-            let refs: Vec<&[f32]> = params_list.iter().map(Vec::as_slice).collect();
-            let scores = evaluator.score_batch(&refs);
-            let candidates: Vec<(Combination, f64, Vec<f32>)> = combos
-                .into_iter()
-                .zip(scores)
-                .zip(params_list)
-                .map(|((combo, score), params)| (combo, score, params))
-                .collect();
+            let source = CandidateSource::new(updates, &clients, &combos)?;
+            let scores = evaluator.score_source(&source);
+            assert_eq!(scores.len(), combos.len(), "one score per candidate");
             // Highest score wins; ties broken uniformly at random.
-            let best_score = candidates
-                .iter()
-                .map(|(_, s, _)| *s)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let tied: Vec<usize> = candidates
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, s, _))| *s == best_score)
-                .map(|(i, _)| i)
+            let best_score = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let tied: Vec<usize> = (0..scores.len())
+                .filter(|&i| scores[i] == best_score)
                 .collect();
             let chosen = tied[rng.gen_range(0..tied.len())];
-            let (combination, score, params) = candidates[chosen].clone();
+            let combination = combos[chosen].clone();
+            let members: Vec<&ModelUpdate> = updates
+                .iter()
+                .copied()
+                .filter(|u| combination.contains(u.client))
+                .collect();
             Ok(AggregationOutcome {
-                params,
+                params: fed_avg(&members)?,
                 combination,
-                score,
-                candidates: candidates.into_iter().map(|(c, s, _)| (c, s)).collect(),
+                score: scores[chosen],
+                candidates: combos.into_iter().zip(scores).collect(),
             })
         }
         Strategy::BestK(k) => {

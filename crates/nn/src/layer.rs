@@ -15,6 +15,23 @@ pub trait Layer: Send {
     /// Computes the output, caching activations needed by [`Layer::backward`].
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
+    /// The inference forward pass on caller-owned buffers: reads `rows`
+    /// row-major rows of `input`, overwrites `out` with the output (resizing
+    /// it, which allocates only while it grows) and returns the output width.
+    /// `scratch` is the `matmul_bt` transpose buffer. Bit-identical to
+    /// `forward(input, false)`, and caches nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` does not hold `rows` rows of the layer's width.
+    fn infer_into(
+        &self,
+        input: &[f32],
+        rows: usize,
+        out: &mut Vec<f32>,
+        scratch: &mut Vec<f32>,
+    ) -> usize;
+
     /// Propagates the gradient, accumulating parameter gradients internally.
     ///
     /// Must be called after `forward` with `train = true`.
@@ -134,6 +151,26 @@ impl Layer for Linear {
         blockfed_tensor::matmul_bt(input, &self.weight).add_row_broadcast(&self.bias)
     }
 
+    fn infer_into(
+        &self,
+        input: &[f32],
+        rows: usize,
+        out: &mut Vec<f32>,
+        scratch: &mut Vec<f32>,
+    ) -> usize {
+        let (k, n) = (self.in_dim(), self.out_dim());
+        assert_eq!(input.len(), rows * k, "input width mismatch");
+        out.resize(rows * n, 0.0);
+        blockfed_tensor::matmul_bt_into(input, self.weight.as_slice(), out, (rows, k, n), scratch);
+        // `add_row_broadcast`'s per-element add, in place.
+        for row in out.chunks_exact_mut(n) {
+            for (o, &b) in row.iter_mut().zip(self.bias.as_slice()) {
+                *o += b;
+            }
+        }
+        n
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let input = self
             .cached_input
@@ -200,6 +237,19 @@ impl Layer for Relu {
         ops::relu(input)
     }
 
+    fn infer_into(
+        &self,
+        input: &[f32],
+        rows: usize,
+        out: &mut Vec<f32>,
+        _scratch: &mut Vec<f32>,
+    ) -> usize {
+        out.clear();
+        // `ops::relu`'s element rule.
+        out.extend(input.iter().map(|&v| v.max(0.0)));
+        input.len().checked_div(rows).unwrap_or(0)
+    }
+
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         let input = self
             .cached_input
@@ -258,6 +308,16 @@ impl<L: Layer> Frozen<L> {
 impl<L: Layer + Clone + 'static> Layer for Frozen<L> {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         self.inner.forward(input, train)
+    }
+
+    fn infer_into(
+        &self,
+        input: &[f32],
+        rows: usize,
+        out: &mut Vec<f32>,
+        scratch: &mut Vec<f32>,
+    ) -> usize {
+        self.inner.infer_into(input, rows, out, scratch)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {

@@ -37,6 +37,6 @@ pub mod zoo;
 
 pub use layer::{Frozen, Layer, Linear, Relu};
 pub use metrics::ConfusionMatrix;
-pub use model::{train_shards, EvalResult, Sequential, MAX_TRAIN_SHARDS};
+pub use model::{train_shards, EvalResult, InferScratch, Sequential, MAX_TRAIN_SHARDS};
 pub use optim::Sgd;
 pub use zoo::{EffNetLite, EffNetLiteConfig, ModelKind, SimpleNn, SimpleNnConfig};

@@ -135,6 +135,17 @@ pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
 
+/// Caller-owned buffers for [`Sequential::accuracy`]: two ping-pong
+/// activation buffers and the `matmul_bt` transpose scratch. They grow to the
+/// widest layer on first use and are reused after that, so a worker scoring
+/// many candidates allocates nothing per candidate.
+#[derive(Debug, Default)]
+pub struct InferScratch {
+    ping: Vec<f32>,
+    pong: Vec<f32>,
+    transpose: Vec<f32>,
+}
+
 /// Result of evaluating a model on a dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
@@ -174,8 +185,12 @@ impl Sequential {
 
     /// Runs the forward pass. `train = true` caches activations for backward.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        // The first layer borrows the batch; only layer outputs are owned.
+        let mut x = first.forward(input, train);
+        for layer in rest {
             x = layer.forward(&x, train);
         }
         x
@@ -514,6 +529,64 @@ impl Sequential {
         }
     }
 
+    /// Inference logits of `features` as a row-major `[rows, width]` slice
+    /// and its `width`, computed on `scratch`: each layer runs
+    /// [`Layer::infer_into`] into one of two ping-pong buffers, so the pass
+    /// allocates nothing once `scratch` has grown to the widest layer.
+    /// Bit-identical to `forward(features, false)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `features` is not 2-D or a layer rejects its input width.
+    pub fn infer<'a>(
+        &self,
+        features: &'a Tensor,
+        scratch: &'a mut InferScratch,
+    ) -> (&'a [f32], usize) {
+        assert_eq!(features.ndim(), 2, "inference input must be 2-D");
+        let rows = features.shape()[0];
+        let InferScratch {
+            ping,
+            pong,
+            transpose,
+        } = scratch;
+        let mut width = features.shape()[1];
+        for (i, layer) in self.layers.iter().enumerate() {
+            let input = if i == 0 {
+                features.as_slice()
+            } else {
+                &pong[..]
+            };
+            width = layer.infer_into(input, rows, ping, transpose);
+            std::mem::swap(ping, pong);
+        }
+        let logits = if self.layers.is_empty() {
+            features.as_slice()
+        } else {
+            pong
+        };
+        (logits, width)
+    }
+
+    /// The accuracy [`Sequential::evaluate`] reports, from
+    /// [`Sequential::infer`] with no loss computed: a row counts as correct
+    /// when its first maximum logit is its label, the rule of
+    /// [`Tensor::argmax_rows`]. How a combination search scores thousands of
+    /// candidates per round.
+    pub fn accuracy(&self, dataset: &Dataset, scratch: &mut InferScratch) -> f64 {
+        if dataset.is_empty() {
+            return 0.0;
+        }
+        let (logits, width) = self.infer(dataset.features(), scratch);
+        assert!(width > 0, "argmax over zero columns");
+        let correct = logits
+            .chunks_exact(width)
+            .zip(dataset.labels())
+            .filter(|(row, &label)| blockfed_tensor::tensor::argmax(row) == label)
+            .count();
+        correct as f64 / dataset.len() as f64
+    }
+
     /// Predicted class per row.
     pub fn predict(&mut self, features: &Tensor) -> Vec<usize> {
         self.forward(features, false).argmax_rows()
@@ -781,6 +854,48 @@ mod tests {
         assert_eq!(seq_losses, par_losses);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&seq_params), bits(&par_params));
+    }
+
+    #[test]
+    fn inference_pass_bit_matches_forward_and_evaluate() {
+        use crate::zoo::SimpleNnConfig;
+        use blockfed_data::{SynthCifar, SynthCifarConfig};
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // The tiny model on the tiny data; the paper model (64 → 310 → 130
+        // → 10, wider than one 64-column transpose slab) on 40 default-config
+        // samples.
+        let (_, tiny_test) = SynthCifar::new(SynthCifarConfig::tiny()).generate(3);
+        let paper_data = SynthCifarConfig {
+            test_per_class: 4,
+            ..SynthCifarConfig::default()
+        };
+        let (_, paper_test) = SynthCifar::new(paper_data).generate(4);
+        let cells = [
+            (SimpleNnConfig::tiny(12, 4), tiny_test),
+            (SimpleNnConfig::paper(), paper_test),
+        ];
+        let mut scratch = InferScratch::default();
+        for (cfg, ds) in cells {
+            let mut model = cfg.build(&mut StdRng::seed_from_u64(30));
+            for (pass, seed) in [(0, 31u64), (1, 32)] {
+                if pass == 1 {
+                    // A second candidate through the same (now grown)
+                    // scratch, with a bias large enough to move predictions.
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut flat = model.params_flat();
+                    flat.iter_mut().for_each(|p| *p += rng.gen_range(-0.5..0.5));
+                    model.set_params_flat(&flat);
+                }
+                let want = model.forward(ds.features(), false);
+                let (logits, width) = model.infer(ds.features(), &mut scratch);
+                assert_eq!(width, cfg.num_classes);
+                assert_eq!(bits(logits), bits(want.as_slice()), "{cfg:?}");
+                let accuracy = model.accuracy(&ds, &mut scratch);
+                assert_eq!(accuracy, model.evaluate(&ds).accuracy, "{cfg:?}");
+            }
+        }
+        let empty = Dataset::new(Tensor::zeros(&[0, 2]), vec![], 2);
+        assert_eq!(mlp(24).accuracy(&empty, &mut scratch), 0.0);
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod matmul;
 pub mod ops;
 pub mod tensor;
 
-pub use matmul::{matmul, matmul_at, matmul_bt};
+pub use matmul::{matmul, matmul_at, matmul_bt, matmul_bt_into};
 pub use tensor::Tensor;

@@ -3,14 +3,19 @@
 //! Three variants cover forward and backward passes of dense layers without
 //! materializing transposes: `A·B`, `A·Bᵀ` and `Aᵀ·B`.
 //!
-//! Each public kernel is cache-blocked over the shared dimension and
-//! row-parallel over [`blockfed_compute`]: output rows are split into one
-//! contiguous chunk per worker, and within a row every output element
-//! accumulates its products in exactly the same (ascending-`k`) order as the
-//! scalar kernels retained in [`mod@reference`]. Because f32 addition happens in
-//! an identical order, the parallel kernels are **bit-identical** to the
-//! reference at every thread count — enforced by tests here and in
-//! `tests/parallel_equivalence.rs`.
+//! Each public kernel is row-parallel over [`blockfed_compute`]: output rows
+//! are split into one contiguous chunk per worker, and within a row every
+//! output element accumulates its products in exactly the same
+//! (ascending-`k`) order as the scalar kernels retained in
+//! [`mod@reference`]. `A·B` and `Aᵀ·B` are cache-blocked over the shared
+//! dimension. `A·Bᵀ` ([`matmul_bt_into`]) transposes each `J_BLOCK × k` slab
+//! of `B` into bounded scratch and accumulates every output row in axpy form,
+//! `o[j] += a[i, p] · bᵀ[p, j]` for ascending `p` starting from `0.0` — the
+//! reference's dot product, element for element, with the inner loop running
+//! across output columns so it vectorizes. Because f32 addition happens in an
+//! identical order, the kernels are **bit-identical** to the reference at
+//! every thread count — enforced by tests here and in
+//! `tests/parallel_equivalence.rs`, including on `±0.0`, `±inf` and NaN.
 
 use crate::tensor::Tensor;
 
@@ -19,9 +24,10 @@ use crate::tensor::Tensor;
 /// stays cache-resident while a worker sweeps its output rows.
 const K_BLOCK: usize = 512;
 
-/// Cache block width over `B`'s rows for the dot-product kernel (`A·Bᵀ`): a
-/// `J_BLOCK × k` slab of `B` stays cache-resident while a worker sweeps its
-/// output rows.
+/// Slab width over `B`'s rows for the `A·Bᵀ` kernel: each `J_BLOCK × k` slab
+/// of `B` is transposed into scratch once and stays cache-resident while the
+/// kernel sweeps its output rows, and a `J_BLOCK`-wide strip of an output row
+/// is what the vectorized inner loop accumulates into.
 const J_BLOCK: usize = 64;
 
 /// Scalar reference kernels: the original single-threaded implementations,
@@ -178,8 +184,8 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// `C = A · Bᵀ` for `A: [m, k]`, `B: [n, k]` (dense-layer forward with
 /// weights stored `[out, in]`).
 ///
-/// Cache-blocked over `k` and parallel over output rows; bit-identical to
-/// [`reference::matmul_bt`].
+/// Runs [`matmul_bt_into`] on each worker's chunk of output rows;
+/// bit-identical to [`reference::matmul_bt`].
 ///
 /// # Panics
 ///
@@ -195,26 +201,9 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; m * n];
     if n > 0 && m > 0 {
         let kernel = |row0: usize, rows: &mut [f32]| {
-            let first_row = row0 / n;
-            // Block over B's rows: each J_BLOCK × k slab of B is swept once
-            // per output-row chunk while cache-hot. Every output element is
-            // still one full-length ascending-k dot product, so the result
-            // is bit-identical to the reference.
-            for jc in (0..n).step_by(J_BLOCK) {
-                let jend = (jc + J_BLOCK).min(n);
-                for (li, orow) in rows.chunks_exact_mut(n).enumerate() {
-                    let i = first_row + li;
-                    let arow = &av[i * k..(i + 1) * k];
-                    for (j, o) in orow[jc..jend].iter_mut().enumerate() {
-                        let brow = &bv[(jc + j) * k..(jc + j + 1) * k];
-                        let mut acc = 0.0f32;
-                        for (x, y) in arow.iter().zip(brow) {
-                            acc += x * y;
-                        }
-                        *o = acc;
-                    }
-                }
-            }
+            let (first, count) = (row0 / n, rows.len() / n);
+            let arows = &av[first * k..(first + count) * k];
+            matmul_bt_into(arows, bv, rows, (count, k, n), &mut Vec::new());
         };
         if blockfed_compute::worth_parallelizing(m * n * k) {
             blockfed_compute::par_chunks_mut(&mut out, n, kernel);
@@ -223,6 +212,68 @@ pub fn matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(out, &[m, n])
+}
+
+/// `out = a · bᵀ` on row-major slices, `a: [m, k]`, `b: [n, k]`,
+/// `out: [m, n]` with `dims = (m, k, n)`: the one `A·Bᵀ` kernel, which
+/// [`matmul_bt`] runs per worker and `blockfed-nn`'s inference pass runs on
+/// caller-owned buffers. Sequential; `out` is overwritten.
+///
+/// Each `J_BLOCK × k` slab of `b` is transposed into `scratch` (grown to at
+/// most `J_BLOCK · k` floats and reused across calls), then every output row
+/// accumulates `o[j] += a[i, p] · bᵀ[p, j]` for ascending `p`, starting from
+/// `0.0`, with no zero skip. Each output element therefore runs the exact f32
+/// operation sequence of [`reference::matmul_bt`] — so `-0.0`, `±inf` and NaN
+/// propagate identically — while the inner loop runs across output columns
+/// and vectorizes.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `dims`.
+pub fn matmul_bt_into(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+    scratch: &mut Vec<f32>,
+) {
+    assert_eq!(
+        a.len(),
+        m * k,
+        "matmul_bt lhs length disagrees with [{m}, {k}]"
+    );
+    assert_eq!(
+        b.len(),
+        n * k,
+        "matmul_bt rhs length disagrees with [{n}, {k}]"
+    );
+    assert_eq!(
+        out.len(),
+        m * n,
+        "matmul_bt output length disagrees with [{m}, {n}]"
+    );
+    out.fill(0.0);
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    for jc in (0..n).step_by(J_BLOCK) {
+        let w = J_BLOCK.min(n - jc);
+        scratch.clear();
+        scratch.resize(k * w, 0.0);
+        for (j, brow) in b[jc * k..(jc + w) * k].chunks_exact(k).enumerate() {
+            for (p, &v) in brow.iter().enumerate() {
+                scratch[p * w + j] = v;
+            }
+        }
+        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            let strip = &mut orow[jc..jc + w];
+            for (&aip, bt_row) in arow.iter().zip(scratch.chunks_exact(w)) {
+                for (o, &bv) in strip.iter_mut().zip(bt_row) {
+                    *o += aip * bv;
+                }
+            }
+        }
+    }
 }
 
 /// `C = Aᵀ · B` for `A: [k, m]`, `B: [k, n]` (weight-gradient kernel).

@@ -306,18 +306,7 @@ impl Tensor {
     pub fn argmax_rows(&self) -> Vec<usize> {
         assert_eq!(self.ndim(), 2, "argmax_rows() requires a 2-D tensor");
         assert!(self.shape[1] > 0, "argmax over zero columns");
-        (0..self.shape[0])
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0;
-                for (i, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
+        (0..self.shape[0]).map(|r| argmax(self.row(r))).collect()
     }
 
     /// Transpose of a 2-D tensor.
@@ -376,6 +365,24 @@ impl fmt::Debug for Tensor {
             write!(f, " [{} elements, mean {:.4}]", self.numel(), self.mean())
         }
     }
+}
+
+/// Index of the first maximum of `row` (the first of equal maxima; a NaN
+/// never wins) — the per-row rule of [`Tensor::argmax_rows`], shared with
+/// `blockfed-nn`'s allocation-free inference pass.
+///
+/// # Panics
+///
+/// Panics if `row` is empty.
+pub fn argmax(row: &[f32]) -> usize {
+    assert!(!row.is_empty(), "argmax over zero columns");
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
