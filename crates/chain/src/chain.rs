@@ -13,7 +13,7 @@ use crate::pow;
 use crate::receipt::Receipt;
 use crate::runtime::ContractRuntime;
 use crate::state::State;
-use crate::store::ChainStore;
+use crate::store::{ChainStore, SigCache};
 use crate::tx::Transaction;
 
 /// How imported seals are treated. There is one policy: every chain trusts
@@ -103,23 +103,103 @@ pub enum ImportOutcome {
     AlreadyKnown,
 }
 
+/// A validated block and what validating it produced: its total
+/// difficulty, post-state and receipts. Only this module builds one —
+/// genesis from its spec, every other block once [`Blockchain::import_arc`]'s
+/// checks and execution pass — so holding one proves the block valid under
+/// the runtime fingerprint its store entry is keyed by.
+pub(crate) struct BlockRecord {
+    block: Arc<Block>,
+    total_difficulty: u128,
+    state: Arc<State>,
+    receipts: Vec<Receipt>,
+}
+
+impl BlockRecord {
+    /// The genesis block of `spec`, whose total difficulty is its own.
+    pub(crate) fn genesis(spec: &GenesisSpec) -> Self {
+        let (block, state) = spec.build();
+        BlockRecord {
+            block: Arc::new(block),
+            total_difficulty: spec.difficulty,
+            state: Arc::new(state),
+            receipts: Vec::new(),
+        }
+    }
+
+    /// Checks `block`'s height, timestamp and transaction root against its
+    /// parent's record.
+    fn check_header(&self, block: &Block) -> Result<(), ImportError> {
+        let parent = &self.block.header;
+        if block.header.number != parent.number + 1 {
+            return Err(ImportError::BadNumber {
+                expected: parent.number + 1,
+                got: block.header.number,
+            });
+        }
+        if block.header.timestamp_ns <= parent.timestamp_ns {
+            return Err(ImportError::BadTimestamp);
+        }
+        if !block.tx_root_valid() {
+            return Err(ImportError::BadTxRoot);
+        }
+        Ok(())
+    }
+
+    /// Executes `block` on this parent record's state and checks the state
+    /// root and gas its header declares.
+    fn execute_child(
+        &self,
+        block: Arc<Block>,
+        runtime: &mut dyn ContractRuntime,
+        sig_cache: &SigCache,
+    ) -> Result<BlockRecord, ImportError> {
+        let header = &block.header;
+        let env = BlockEnv {
+            number: header.number,
+            timestamp_ns: header.timestamp_ns,
+            miner: header.miner,
+            gas_limit: header.gas_limit,
+        };
+        let result =
+            execute_block_txs_with(&self.state, &block.transactions, &env, runtime, sig_cache);
+        let computed_root = result.state.root();
+        if computed_root != header.state_root {
+            return Err(ImportError::BadStateRoot {
+                declared: header.state_root,
+                computed: computed_root,
+            });
+        }
+        if result.gas_used != header.gas_used {
+            return Err(ImportError::BadGasUsed {
+                declared: header.gas_used,
+                computed: result.gas_used,
+            });
+        }
+        Ok(BlockRecord {
+            total_difficulty: self.total_difficulty.saturating_add(header.difficulty),
+            block,
+            state: Arc::new(result.state),
+            receipts: result.receipts,
+        })
+    }
+}
+
 /// An in-memory blockchain backed by a run-scoped [`ChainStore`].
 ///
-/// Each imported block's post-state is the `Arc` the store memoized when the
-/// block was first executed, so chains sharing one store (see
-/// [`Blockchain::with_store`]) execute each block once and hold one state per
-/// block between them, not one per peer. The memos die with the store handle
-/// instead of living for the process. [`Blockchain::fork_at`] branches a new
-/// chain off any stored block in O(ancestors) pointer copies.
+/// The chain maps each known block's hash to its one shared record — the
+/// block, total difficulty, post-state and receipts — which the store
+/// memoized when the block was first validated. Chains sharing one store
+/// (see [`Blockchain::with_store`]) therefore validate and execute each
+/// block once and hold one record per block between them, not one per
+/// peer. The memos die with the store handle instead of living for the
+/// process. [`Blockchain::fork_at`] branches a new chain off any stored
+/// block in O(ancestors) pointer copies.
 #[derive(Clone)]
 pub struct Blockchain {
-    blocks: HashMap<H256, Arc<Block>>,
-    states: HashMap<H256, Arc<State>>,
-    receipts: HashMap<H256, Arc<Vec<Receipt>>>,
-    total_difficulty: HashMap<H256, u128>,
+    records: HashMap<H256, Arc<BlockRecord>>,
     head: H256,
     genesis: H256,
-    retarget_rule: crate::retarget::RetargetRule,
     store: ChainStore,
 }
 
@@ -131,26 +211,16 @@ impl Blockchain {
     }
 
     /// Creates a chain backed by an explicit store. Chains constructed from
-    /// the same handle share validated executions and signature verdicts —
+    /// the same handle share validated blocks and signature verdicts —
     /// this is how one run's peers collapse O(peers) re-execution to one,
     /// without anything leaking past the handle's lifetime.
     pub fn with_store(spec: &GenesisSpec, _seal_policy: SealPolicy, store: ChainStore) -> Self {
-        let (genesis_block, genesis_state) = spec.build();
-        let genesis_hash = genesis_block.hash();
-        let mut blocks = HashMap::new();
-        let mut states = HashMap::new();
-        let mut total_difficulty = HashMap::new();
-        blocks.insert(genesis_hash, Arc::new(genesis_block));
-        states.insert(genesis_hash, Arc::new(genesis_state));
-        total_difficulty.insert(genesis_hash, spec.difficulty);
+        let genesis = BlockRecord::genesis(spec);
+        let hash = genesis.block.hash();
         Blockchain {
-            blocks,
-            states,
-            receipts: HashMap::new(),
-            total_difficulty,
-            head: genesis_hash,
-            genesis: genesis_hash,
-            retarget_rule: crate::retarget::RetargetRule::Homestead,
+            records: HashMap::from([(hash, Arc::new(genesis))]),
+            head: hash,
+            genesis: hash,
             store,
         }
     }
@@ -160,45 +230,6 @@ impl Blockchain {
         &self.store
     }
 
-    /// The difficulty-retarget rule used by [`Blockchain::build_candidate`]
-    /// (Homestead by default).
-    pub fn retarget_rule(&self) -> crate::retarget::RetargetRule {
-        self.retarget_rule
-    }
-
-    /// Switches the difficulty-retarget rule used when building candidates
-    /// (builder style). Existing blocks are untouched: the rule is a pure
-    /// function of chain history, so miners can change policy at any height.
-    #[must_use]
-    pub fn with_retarget_rule(mut self, rule: crate::retarget::RetargetRule) -> Self {
-        self.retarget_rule = rule;
-        self
-    }
-
-    /// Block intervals (nanoseconds, newest first) of the chain ending at
-    /// `from`, up to `max` entries, stopping at genesis.
-    pub fn recent_intervals(&self, from: &H256, max: usize) -> Vec<u64> {
-        let mut out = Vec::with_capacity(max);
-        let mut cursor = *from;
-        while out.len() < max {
-            let Some(block) = self.blocks.get(&cursor) else {
-                break;
-            };
-            if cursor == self.genesis {
-                break;
-            }
-            let parent = &self.blocks[&block.header.parent];
-            out.push(
-                block
-                    .header
-                    .timestamp_ns
-                    .saturating_sub(parent.header.timestamp_ns),
-            );
-            cursor = block.header.parent;
-        }
-        out
-    }
-
     /// The canonical head hash.
     pub fn head(&self) -> H256 {
         self.head
@@ -206,7 +237,7 @@ impl Blockchain {
 
     /// The canonical head block.
     pub fn head_block(&self) -> &Block {
-        self.blocks[&self.head].as_ref()
+        &self.records[&self.head].block
     }
 
     /// The genesis hash.
@@ -221,43 +252,37 @@ impl Blockchain {
 
     /// The state at the canonical head.
     pub fn state(&self) -> &State {
-        &self.states[&self.head]
+        &self.records[&self.head].state
     }
 
     /// The state after a given block, `None` if the block is unknown.
     pub fn state_at(&self, hash: &H256) -> Option<Arc<State>> {
-        self.states.get(hash).cloned()
+        self.records.get(hash).map(|r| Arc::clone(&r.state))
     }
 
     /// A block by hash.
     pub fn block(&self, hash: &H256) -> Option<&Block> {
-        self.blocks.get(hash).map(|b| b.as_ref())
+        self.records.get(hash).map(|r| r.block.as_ref())
     }
 
     /// A block by hash as a shared handle (no copy), for re-import into a
     /// forked chain or another peer.
     pub fn block_arc(&self, hash: &H256) -> Option<Arc<Block>> {
-        self.blocks.get(hash).cloned()
+        self.records.get(hash).map(|r| Arc::clone(&r.block))
     }
 
     /// Whether a block is known.
     pub fn contains(&self, hash: &H256) -> bool {
-        self.blocks.contains_key(hash)
+        self.records.contains_key(hash)
     }
 
-    /// Receipts of a block's transactions, if known.
+    /// Receipts of a block's transactions, if the block is known and was
+    /// executed (genesis never was).
     pub fn receipts(&self, hash: &H256) -> Option<&[Receipt]> {
-        self.receipts.get(hash).map(|r| r.as_slice())
-    }
-
-    /// Total difficulty of a block.
-    pub fn total_difficulty_of(&self, hash: &H256) -> Option<u128> {
-        self.total_difficulty.get(hash).copied()
-    }
-
-    /// Number of blocks stored (including side chains and genesis).
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        if *hash == self.genesis {
+            return None;
+        }
+        self.records.get(hash).map(|r| r.receipts.as_slice())
     }
 
     /// Hashes of the canonical chain from genesis to head.
@@ -269,16 +294,10 @@ impl Blockchain {
             if cursor == self.genesis {
                 break;
             }
-            cursor = self.blocks[&cursor].header.parent;
+            cursor = self.records[&cursor].block.header.parent;
         }
         out.reverse();
         out
-    }
-
-    /// The canonical block at a height, if within range.
-    pub fn block_by_number(&self, number: u64) -> Option<&Block> {
-        let chain = self.canonical_chain();
-        chain.get(number as usize).map(|h| self.blocks[h].as_ref())
     }
 
     /// Validates and imports a block, executing its transactions.
@@ -309,83 +328,49 @@ impl Blockchain {
         runtime: &mut dyn ContractRuntime,
     ) -> Result<ImportOutcome, ImportError> {
         let hash = block.hash();
-        if self.blocks.contains_key(&hash) {
+        if self.records.contains_key(&hash) {
             return Ok(ImportOutcome::AlreadyKnown);
         }
         let parent = self
-            .blocks
+            .records
             .get(&block.header.parent)
             .ok_or(ImportError::UnknownParent(block.header.parent))?;
-        if block.header.number != parent.header.number + 1 {
-            return Err(ImportError::BadNumber {
-                expected: parent.header.number + 1,
-                got: block.header.number,
-            });
-        }
-        if block.header.timestamp_ns <= parent.header.timestamp_ns {
-            return Err(ImportError::BadTimestamp);
-        }
-        if !block.tx_root_valid() {
-            return Err(ImportError::BadTxRoot);
-        }
 
-        // Re-execute on the parent state — unless a chain sharing this
-        // chain's store already validated this exact block: a hit skips the
-        // execution and the whole-state root hash.
-        // The memo key commits to the runtime's execution fingerprint, so
-        // semantically different runtimes never share results (see
-        // `store.rs` for the full soundness argument).
+        // A chain sharing this chain's store may already hold this block's
+        // record. The memo key commits to the runtime's execution
+        // fingerprint, so semantically different runtimes never share
+        // records (see `store.rs` for the full soundness argument). A record
+        // holding this very allocation proves its header and body passed the
+        // checks below; a body swapped under a known header is another
+        // allocation and takes them again. The lookup counts as a hit or a
+        // miss only once the checks pass.
         let memo_key = (hash, runtime.execution_fingerprint());
-        let (exec_state, exec_receipts) = match self.store.lookup_exec(&memo_key) {
-            Some(entry) => entry,
+        let known = self.store.lookup_exec(&memo_key);
+        let validated = known
+            .as_ref()
+            .is_some_and(|r| Arc::ptr_eq(&r.block, &block));
+        if !validated {
+            parent.check_header(&block)?;
+        }
+        self.store.count_exec(known.is_some());
+        let record = match known {
+            Some(record) => record,
             None => {
-                let parent_state = &self.states[&block.header.parent];
-                let env = BlockEnv {
-                    number: block.header.number,
-                    timestamp_ns: block.header.timestamp_ns,
-                    miner: block.header.miner,
-                    gas_limit: block.header.gas_limit,
-                };
-                let result = execute_block_txs_with(
-                    parent_state,
-                    &block.transactions,
-                    &env,
-                    runtime,
-                    &self.store.sig_cache(),
-                );
-                let computed_root = result.state.root();
-                if computed_root != block.header.state_root {
-                    return Err(ImportError::BadStateRoot {
-                        declared: block.header.state_root,
-                        computed: computed_root,
-                    });
-                }
-                if result.gas_used != block.header.gas_used {
-                    return Err(ImportError::BadGasUsed {
-                        declared: block.header.gas_used,
-                        computed: result.gas_used,
-                    });
-                }
-                let entry = (Arc::new(result.state), Arc::new(result.receipts));
-                self.store.insert_exec(memo_key, entry.clone());
-                entry
+                let sig_cache = self.store.sig_cache();
+                let record = Arc::new(parent.execute_child(block, runtime, &sig_cache)?);
+                self.store.insert_exec(memo_key, Arc::clone(&record));
+                record
             }
         };
-
-        let parent_td = self.total_difficulty[&block.header.parent];
-        let td = parent_td.saturating_add(block.header.difficulty);
-        self.total_difficulty.insert(hash, td);
-        self.states.insert(hash, exec_state);
-        self.receipts.insert(hash, exec_receipts);
-        let parent_hash = block.header.parent;
-        self.blocks.insert(hash, block);
+        let (td, parent_hash) = (record.total_difficulty, record.block.header.parent);
+        self.records.insert(hash, record);
 
         // Fork choice: heaviest total difficulty. Equal-weight forks are
         // broken by the smaller block hash — a deterministic rule, so any two
         // replicas that have seen the same block set agree on the head
         // regardless of arrival order (first-seen tie-keeping would let
         // replicas diverge forever on a tied fork).
-        let head_td = self.total_difficulty[&self.head];
+        let head_td = self.records[&self.head].total_difficulty;
         if td > head_td || (td == head_td && hash < self.head) {
             let old_head = self.head;
             self.head = hash;
@@ -400,47 +385,37 @@ impl Blockchain {
     }
 
     /// Branches a new chain whose head is `hash`: the fork shares this
-    /// chain's store (so replaying blocks hits the execution memo), its
-    /// block/state/receipt entries for every ancestor of `hash` (`Arc`
-    /// pointer copies — no state is cloned), and nothing else. Use it to
-    /// replay an alternative suffix — e.g. re-run the tail of a finished
-    /// run under a different aggregation strategy — without re-executing
-    /// the shared prefix.
+    /// chain's store (so replaying blocks hits the memo) and the records of
+    /// every ancestor of `hash` (`Arc` pointer copies — no block, state or
+    /// receipt is cloned), and nothing else. Use it to replay an alternative
+    /// suffix — e.g. re-run the tail of a finished run under a different
+    /// aggregation strategy — without re-executing the shared prefix.
     ///
     /// Returns `None` if `hash` is unknown.
     pub fn fork_at(&self, hash: &H256) -> Option<Blockchain> {
-        let mut blocks = HashMap::new();
-        let mut states = HashMap::new();
-        let mut receipts = HashMap::new();
-        let mut total_difficulty = HashMap::new();
+        let mut records = HashMap::new();
         let mut cursor = *hash;
         loop {
-            let block = self.blocks.get(&cursor)?;
-            blocks.insert(cursor, Arc::clone(block));
-            states.insert(cursor, Arc::clone(&self.states[&cursor]));
-            if let Some(r) = self.receipts.get(&cursor) {
-                receipts.insert(cursor, Arc::clone(r));
-            }
-            total_difficulty.insert(cursor, *self.total_difficulty.get(&cursor)?);
+            let record = self.records.get(&cursor)?;
+            records.insert(cursor, Arc::clone(record));
             if cursor == self.genesis {
                 break;
             }
-            cursor = block.header.parent;
+            cursor = record.block.header.parent;
         }
         Some(Blockchain {
-            blocks,
-            states,
-            receipts,
-            total_difficulty,
+            records,
             head: *hash,
             genesis: self.genesis,
-            retarget_rule: self.retarget_rule,
             store: self.store.clone(),
         })
     }
 
-    /// Builds an unsealed candidate block on the current head: executes `txs`,
-    /// fills in roots and gas, and computes the retargeted difficulty. The
+    /// Builds an unsealed candidate block on the current head: executes `txs`
+    /// and fills in roots and gas. Its difficulty is the Homestead step
+    /// ([`pow::next_difficulty`]) from the head's over the head-to-candidate
+    /// interval; a run's [`crate::DifficultyController`] sets the race
+    /// difficulty its sealing draws use, not this header field. The
     /// simulated mining race decides when and whether it is imported.
     pub fn build_candidate(
         &self,
@@ -451,14 +426,6 @@ impl Blockchain {
     ) -> Block {
         let parent = self.head_block();
         let interval = timestamp_ns.saturating_sub(parent.header.timestamp_ns);
-        let mut intervals = vec![interval];
-        intervals.extend(self.recent_intervals(&self.head, 15));
-        let difficulty = self.retarget_rule.from_history(
-            parent.header.difficulty,
-            parent.header.number + 1,
-            &intervals,
-            pow::TARGET_BLOCK_TIME_NS,
-        );
         let env = BlockEnv {
             number: parent.header.number + 1,
             timestamp_ns,
@@ -472,7 +439,7 @@ impl Blockchain {
             number: parent.header.number + 1,
             timestamp_ns,
             miner,
-            difficulty,
+            difficulty: pow::next_difficulty(parent.header.difficulty, interval),
             nonce: 0,
             tx_root: Block::compute_tx_root(&txs),
             state_root: result.state.root(),
@@ -491,7 +458,7 @@ impl std::fmt::Debug for Blockchain {
         f.debug_struct("Blockchain")
             .field("height", &self.height())
             .field("head", &self.head)
-            .field("blocks", &self.blocks.len())
+            .field("blocks", &self.records.len())
             .finish()
     }
 }
@@ -523,7 +490,7 @@ mod tests {
         assert_eq!(chain.height(), 0);
         assert_eq!(chain.head(), chain.genesis());
         assert_eq!(chain.canonical_chain().len(), 1);
-        assert_eq!(chain.block_count(), 1);
+        assert_eq!(chain.receipts(&chain.genesis()), None);
     }
 
     #[test]
@@ -692,6 +659,48 @@ mod tests {
     }
 
     #[test]
+    fn a_memo_hit_skips_the_checks_only_for_the_validated_allocation() {
+        let k = key(24);
+        let store = ChainStore::new();
+        let spec = GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(16);
+        let mut a = Blockchain::with_store(&spec, SealPolicy::Simulated, store.clone());
+        let mut b = Blockchain::with_store(&spec, SealPolicy::Simulated, store.clone());
+        let tx = Transaction::transfer(k.address(), k.address(), 1, 0).signed(&k);
+        let block = Arc::new(a.build_candidate(k.address(), vec![tx], 1_000, &mut NullRuntime));
+        a.import_arc(Arc::clone(&block), &mut NullRuntime).unwrap();
+
+        // The known header over an emptied body, in a new allocation: the
+        // memo holds a record for the hash, but not for this body.
+        let base = store.counters();
+        let mut swapped = Block::clone(&block);
+        swapped.transactions.clear();
+        assert_eq!(swapped.hash(), block.hash());
+        assert_eq!(
+            b.import_arc(Arc::new(swapped), &mut NullRuntime),
+            Err(ImportError::BadTxRoot)
+        );
+        let d = store.counters().since(&base);
+        assert_eq!((d.exec_hits, d.exec_misses), (0, 0));
+
+        // An equal-content clone passes the full checks, then hits.
+        let base = store.counters();
+        let clone = Arc::new(Block::clone(&block));
+        assert_eq!(
+            b.import_arc(clone, &mut NullRuntime),
+            Ok(ImportOutcome::Extended)
+        );
+        let d = store.counters().since(&base);
+        assert_eq!((d.exec_hits, d.exec_misses), (1, 0));
+        assert_eq!(b.state().root(), a.state().root());
+
+        // A's own allocation is the block B now knows.
+        assert_eq!(
+            b.import_arc(block, &mut NullRuntime),
+            Ok(ImportOutcome::AlreadyKnown)
+        );
+    }
+
+    #[test]
     fn bad_number_and_timestamp_rejected() {
         let k = key(9);
         let mut chain = low_difficulty_chain(&[k.address()]);
@@ -781,19 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn block_by_number_walks_canonical_chain() {
-        let k = key(11);
-        let mut chain = low_difficulty_chain(&[k.address()]);
-        for i in 1..=3u64 {
-            let b = candidate(&chain, k.address(), vec![], i * 1_000);
-            chain.import(b, &mut NullRuntime).unwrap();
-        }
-        assert_eq!(chain.block_by_number(0).unwrap().number(), 0);
-        assert_eq!(chain.block_by_number(2).unwrap().number(), 2);
-        assert!(chain.block_by_number(9).is_none());
-    }
-
-    #[test]
     fn difficulty_retargets_along_the_chain() {
         let k = key(12);
         let mut chain = low_difficulty_chain(&[k.address()]);
@@ -805,69 +801,6 @@ mod tests {
             last_difficulty = b.header.difficulty;
             chain.import(b, &mut NullRuntime).unwrap();
         }
-    }
-
-    #[test]
-    fn recent_intervals_walks_newest_first_and_stops_at_genesis() {
-        let k = key(30);
-        let mut chain = low_difficulty_chain(&[k.address()]);
-        // Genesis at t=0; blocks at 10, 25, 45 -> intervals 10, 15, 20 (ns).
-        for ts in [10u64, 25, 45] {
-            let b = candidate(&chain, k.address(), vec![], ts);
-            chain.import(b, &mut NullRuntime).unwrap();
-        }
-        let head = chain.head();
-        assert_eq!(chain.recent_intervals(&head, 10), vec![20, 15, 10]);
-        assert_eq!(chain.recent_intervals(&head, 2), vec![20, 15]);
-        assert!(chain.recent_intervals(&chain.genesis(), 10).is_empty());
-    }
-
-    #[test]
-    fn retarget_rule_is_homestead_by_default_and_switchable() {
-        let k = key(31);
-        let chain = low_difficulty_chain(&[k.address()]);
-        assert_eq!(
-            chain.retarget_rule(),
-            crate::retarget::RetargetRule::Homestead
-        );
-        let spec = GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(16);
-        let chain = Blockchain::new(&spec)
-            .with_retarget_rule(crate::retarget::RetargetRule::MovingAverage { window: 4 });
-        assert_eq!(
-            chain.retarget_rule(),
-            crate::retarget::RetargetRule::MovingAverage { window: 4 }
-        );
-    }
-
-    #[test]
-    fn moving_average_chain_retargets_at_epoch_boundaries() {
-        let k = key(32);
-        let spec =
-            GenesisSpec::with_accounts(&[k.address()], 1_000_000_000).with_difficulty(100_000);
-        let mut chain = Blockchain::new(&spec)
-            .with_retarget_rule(crate::retarget::RetargetRule::MovingAverage { window: 4 });
-        // Blocks arriving far faster than the 13 s target.
-        let step = pow::TARGET_BLOCK_TIME_NS / 4;
-        let mut difficulties = Vec::new();
-        for i in 1..=8u64 {
-            let b = chain.build_candidate(k.address(), vec![], i * step, &mut NullRuntime);
-            difficulties.push(b.header.difficulty);
-            chain.import(b, &mut NullRuntime).unwrap();
-        }
-        // Blocks 1-3 inherit genesis difficulty; block 4 (epoch boundary)
-        // jumps; 5-7 inherit; block 8 jumps again.
-        assert_eq!(difficulties[0], 100_000);
-        assert_eq!(difficulties[1], 100_000);
-        assert_eq!(difficulties[2], 100_000);
-        assert!(
-            difficulties[3] > 150_000,
-            "no epoch retarget: {difficulties:?}"
-        );
-        assert_eq!(difficulties[4], difficulties[3]);
-        assert!(
-            difficulties[7] > difficulties[3],
-            "second epoch flat: {difficulties:?}"
-        );
     }
 
     #[test]
@@ -937,13 +870,33 @@ mod tests {
         for hash in canon[1..].iter().chain([&side_hash]) {
             peer.import_arc(chain.block_arc(hash).unwrap(), &mut NullRuntime)
                 .unwrap();
-            assert!(
-                Arc::ptr_eq(
-                    &peer.state_at(hash).unwrap(),
-                    &chain.state_at(hash).unwrap()
-                ),
-                "state at {hash} is a per-peer copy"
-            );
+        }
+        // So does a fork of either: the block, its state and its receipts
+        // are one allocation each across peers and forks.
+        let fork = peer.fork_at(&side_hash).unwrap();
+        for (view, height) in [(&peer, canon.len()), (&fork, 5)] {
+            for hash in canon[1..height].iter().chain([&side_hash]) {
+                assert!(
+                    Arc::ptr_eq(
+                        &view.state_at(hash).unwrap(),
+                        &chain.state_at(hash).unwrap()
+                    ),
+                    "state at {hash} is a per-peer copy"
+                );
+                assert!(
+                    Arc::ptr_eq(
+                        &view.block_arc(hash).unwrap(),
+                        &chain.block_arc(hash).unwrap()
+                    ),
+                    "block {hash} is a per-peer copy"
+                );
+                let (mine, theirs) = (view.receipts(hash).unwrap(), chain.receipts(hash).unwrap());
+                assert!(!mine.is_empty());
+                assert!(
+                    std::ptr::eq(mine, theirs),
+                    "receipts of {hash} are a per-peer copy"
+                );
+            }
         }
     }
 

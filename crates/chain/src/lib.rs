@@ -59,5 +59,5 @@ pub use receipt::{ExecStatus, LogEntry, Receipt};
 pub use retarget::{simulate_cadence, DifficultyController, RetargetRule};
 pub use runtime::{CallContext, ContractRuntime, ExecOutcome, NullRuntime};
 pub use state::{Account, State, StateError};
-pub use store::{ChainStore, SigCache, StoreCounters, StoreLimits};
+pub use store::{ChainStore, SigCache, StoreCounters};
 pub use tx::{contract_address, Transaction, TxError};

@@ -1,5 +1,5 @@
-//! The chain store: a run-scoped handle that memoizes validated block
-//! executions and Schnorr signature verdicts for every chain sharing it.
+//! The chain store: a run-scoped handle that memoizes validated blocks and
+//! Schnorr signature verdicts for every chain sharing it.
 //!
 //! In a simulated network every peer re-executes the identical block on the
 //! identical parent state and re-verifies the identical gossiped
@@ -11,21 +11,21 @@
 //!
 //! * one handle is shared by every chain of one run (the orchestrator clones
 //!   it into each peer's [`crate::Blockchain`] and [`crate::Mempool`]);
-//! * a chain keeps each block's post-state as the `Arc<State>` the execution
-//!   memo holds, so the run's peers share one state per block;
+//! * the block memo holds one `Arc`'d record per validated block — the block,
+//!   its hash, total difficulty, post-state and receipts — and every chain
+//!   sharing the store keeps that same record, so the run's peers hold one
+//!   copy of each between them;
 //! * dropping the last handle frees everything — nothing outlives the run;
 //! * entries are **epoch-scoped**: [`ChainStore::begin_epoch`] advances the
-//!   store's epoch and evicts entries not touched within
-//!   [`StoreLimits::keep_epochs`] epochs, so sequential runs that share a
-//!   handle (fork replay, memcheck) reuse the previous run's work without
-//!   accumulating unboundedly;
-//! * hard caps ([`StoreLimits::max_exec_entries`],
-//!   [`StoreLimits::max_sig_entries`]) bound growth *within* an epoch — on
-//!   overflow the map is flushed wholesale, a deterministic policy (the memo
-//!   is a pure cache: a miss only costs re-execution). A flush frees no
-//!   state a chain still holds.
+//!   store's epoch and evicts entries not touched within the last full
+//!   epoch, so sequential runs that share a handle (fork replay, memcheck)
+//!   reuse the previous run's work without accumulating unboundedly;
+//! * hard caps (8,192 blocks, 65,536 verdicts) bound growth *within* an
+//!   epoch — on overflow the map is flushed wholesale, a deterministic
+//!   policy (the memo is a pure cache: a miss only costs re-execution). A
+//!   flush frees no record a chain still holds.
 //!
-//! Soundness is inherited from the keys. An execution entry is keyed by
+//! Soundness is inherited from the keys. A block entry is keyed by
 //! `(block hash, runtime execution fingerprint)`: the block hash commits to
 //! the parent (hence, inductively, the parent state), the transaction root,
 //! and the resulting `state_root`, so one chain's validated result is every
@@ -37,39 +37,22 @@
 //! re-verifies from scratch.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use blockfed_crypto::H256;
 
-use crate::receipt::Receipt;
-use crate::state::State;
+use crate::chain::BlockRecord;
 
-/// Capacity and retention policy of a [`ChainStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreLimits {
-    /// Hard cap on memoized block executions; exceeding it within one epoch
-    /// flushes the execution memo (deterministically — the memo is a cache).
-    pub max_exec_entries: usize,
-    /// Hard cap on memoized signature verdicts; same flush-on-overflow
-    /// policy.
-    pub max_sig_entries: usize,
-    /// How many epochs an untouched entry survives. With the default of 1,
-    /// entries touched in epoch `e` are evicted at the start of epoch
-    /// `e + 2` — one full epoch of grace, so a replay immediately following
-    /// a run still hits its memos.
-    pub keep_epochs: u64,
-}
-
-impl Default for StoreLimits {
-    fn default() -> Self {
-        StoreLimits {
-            max_exec_entries: 8_192,
-            max_sig_entries: 65_536,
-            keep_epochs: 1,
-        }
-    }
-}
+/// Validated blocks kept per epoch before the memo is flushed.
+const MAX_EXEC_ENTRIES: usize = 8_192;
+/// Signature verdicts kept per epoch before the memo is flushed.
+const MAX_SIG_ENTRIES: usize = 65_536;
+/// How many epochs an untouched entry survives: entries touched in epoch
+/// `e` are evicted at the start of epoch `e + 2` — one full epoch of grace,
+/// so a replay immediately following a run still hits its memos.
+const KEEP_EPOCHS: u64 = 1;
 
 /// A snapshot of a store's deterministic meters. Within one single-threaded
 /// run the counts are exact and reproducible; fold deltas (see
@@ -106,45 +89,104 @@ impl StoreCounters {
     }
 }
 
-/// A memoized block execution: the post-state and the receipts. Every chain
-/// sharing the store keeps this same `Arc<State>` as the block's state.
-pub(crate) type ExecEntry = (Arc<State>, Arc<Vec<Receipt>>);
+/// One epoch-stamped, cap-flushed memo map and its meters. Each value
+/// carries the epoch of its last touch (insert or hit), re-stamped through
+/// the read lock.
+struct Memo<K, V> {
+    map: RwLock<HashMap<K, (V, AtomicU64)>>,
+    cap: usize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evicted: AtomicU64,
+}
 
-struct ExecSlot {
-    entry: ExecEntry,
-    /// Epoch of the last touch (insert or hit); re-stamped through the read
-    /// lock on every hit.
-    epoch: AtomicU64,
+impl<K: Hash + Eq, V: Clone> Memo<K, V> {
+    fn new(cap: usize) -> Self {
+        Memo {
+            map: RwLock::new(HashMap::new()),
+            cap,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
+        }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, HashMap<K, (V, AtomicU64)>> {
+        self.map
+            .read()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, HashMap<K, (V, AtomicU64)>> {
+        self.map
+            .write()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn len(&self) -> usize {
+        self.read().len()
+    }
+
+    /// The value under `key`, re-stamped with `epoch`. Counts nothing: the
+    /// caller reports the lookup through [`Memo::count`].
+    fn get(&self, key: &K, epoch: u64) -> Option<V> {
+        let map = self.read();
+        let (value, stamp) = map.get(key)?;
+        stamp.store(epoch, Ordering::Relaxed);
+        Some(value.clone())
+    }
+
+    fn count(&self, hit: bool) {
+        let meter = if hit { &self.hits } else { &self.misses };
+        meter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Inserts `value` stamped with `epoch`, flushing the map first if it is
+    /// at capacity.
+    fn insert(&self, key: K, value: V, epoch: u64) {
+        let mut map = self.write();
+        if map.len() >= self.cap {
+            self.evicted.fetch_add(map.len() as u64, Ordering::Relaxed);
+            map.clear();
+        }
+        map.insert(key, (value, AtomicU64::new(epoch)));
+    }
+
+    /// Evicts every entry last touched before epoch `cutoff`.
+    fn evict_before(&self, cutoff: u64) {
+        let mut map = self.write();
+        let before = map.len();
+        map.retain(|_, (_, stamp)| stamp.load(Ordering::Relaxed) >= cutoff);
+        self.evicted
+            .fetch_add((before - map.len()) as u64, Ordering::Relaxed);
+    }
 }
 
 struct StoreInner {
-    limits: StoreLimits,
     epoch: AtomicU64,
-    exec: RwLock<HashMap<(H256, u64), ExecSlot>>,
-    sig: RwLock<HashMap<H256, AtomicU64>>,
-    exec_hits: AtomicU64,
-    exec_misses: AtomicU64,
-    sig_hits: AtomicU64,
-    sig_misses: AtomicU64,
-    exec_evicted: AtomicU64,
-    sig_evicted: AtomicU64,
+    exec: Memo<(H256, u64), Arc<BlockRecord>>,
+    sig: Memo<H256, ()>,
+}
+
+impl Default for StoreInner {
+    fn default() -> Self {
+        StoreInner {
+            epoch: AtomicU64::new(0),
+            exec: Memo::new(MAX_EXEC_ENTRIES),
+            sig: Memo::new(MAX_SIG_ENTRIES),
+        }
+    }
 }
 
 impl StoreInner {
-    fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-        lock.read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-        lock.write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed)
     }
 }
 
-/// An epoch-scoped, bounded store of validated block executions and
-/// signature verdicts, shared (cheap [`Clone`] of an `Arc`) by every chain
-/// of one run and dropped with it.
+/// An epoch-scoped, bounded store of validated blocks and signature
+/// verdicts, shared (cheap [`Clone`] of an `Arc`) by every chain of one run
+/// and dropped with it.
 ///
 /// # Examples
 ///
@@ -161,101 +203,51 @@ pub struct ChainStore {
     inner: Arc<StoreInner>,
 }
 
-impl Default for StoreInner {
-    fn default() -> Self {
-        StoreInner {
-            limits: StoreLimits::default(),
-            epoch: AtomicU64::new(0),
-            exec: RwLock::new(HashMap::new()),
-            sig: RwLock::new(HashMap::new()),
-            exec_hits: AtomicU64::new(0),
-            exec_misses: AtomicU64::new(0),
-            sig_hits: AtomicU64::new(0),
-            sig_misses: AtomicU64::new(0),
-            exec_evicted: AtomicU64::new(0),
-            sig_evicted: AtomicU64::new(0),
-        }
-    }
-}
-
 impl ChainStore {
-    /// A fresh, empty store with [`StoreLimits::default`].
+    /// A fresh, empty store.
     pub fn new() -> Self {
         ChainStore::default()
     }
 
-    /// A fresh store with explicit limits.
-    pub fn with_limits(limits: StoreLimits) -> Self {
-        ChainStore {
-            inner: Arc::new(StoreInner {
-                limits,
-                ..StoreInner::default()
-            }),
-        }
-    }
-
-    /// The store's limits.
-    pub fn limits(&self) -> StoreLimits {
-        self.inner.limits
-    }
-
     /// The current epoch (0 until the first [`ChainStore::begin_epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::Relaxed)
+        self.inner.epoch()
     }
 
-    /// Advances the epoch and evicts every entry whose last touch is older
-    /// than [`StoreLimits::keep_epochs`] epochs. A run calls this once at
-    /// start, so sequential runs sharing a handle keep exactly the previous
-    /// run's entries warm while everything older ages out.
+    /// Advances the epoch and evicts every entry not touched in the
+    /// previous one. A run calls this once at start, so sequential runs
+    /// sharing a handle keep exactly the previous run's entries warm while
+    /// everything older ages out.
     pub fn begin_epoch(&self) {
         let epoch = self.inner.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let keep = self.inner.limits.keep_epochs;
-        let cutoff = epoch.saturating_sub(keep);
-        if cutoff == 0 {
-            return;
+        let cutoff = epoch.saturating_sub(KEEP_EPOCHS);
+        if cutoff > 0 {
+            self.inner.exec.evict_before(cutoff);
+            self.inner.sig.evict_before(cutoff);
         }
-        let mut evicted = 0u64;
-        {
-            let mut exec = StoreInner::write(&self.inner.exec);
-            let before = exec.len();
-            exec.retain(|_, slot| slot.epoch.load(Ordering::Relaxed) >= cutoff);
-            evicted += (before - exec.len()) as u64;
-        }
-        self.inner
-            .exec_evicted
-            .fetch_add(evicted, Ordering::Relaxed);
-        let mut sig_evicted = 0u64;
-        {
-            let mut sig = StoreInner::write(&self.inner.sig);
-            let before = sig.len();
-            sig.retain(|_, stamp| stamp.load(Ordering::Relaxed) >= cutoff);
-            sig_evicted += (before - sig.len()) as u64;
-        }
-        self.inner
-            .sig_evicted
-            .fetch_add(sig_evicted, Ordering::Relaxed);
     }
 
-    /// Number of memoized block executions.
+    /// Number of memoized blocks.
     pub fn exec_entries(&self) -> usize {
-        StoreInner::read(&self.inner.exec).len()
+        self.inner.exec.len()
     }
 
     /// Number of memoized signature verdicts.
     pub fn sig_entries(&self) -> usize {
-        StoreInner::read(&self.inner.sig).len()
+        self.inner.sig.len()
     }
 
     /// A snapshot of the store's meters.
     pub fn counters(&self) -> StoreCounters {
+        let (exec, sig) = (&self.inner.exec, &self.inner.sig);
+        let load = |meter: &AtomicU64| meter.load(Ordering::Relaxed);
         StoreCounters {
-            exec_hits: self.inner.exec_hits.load(Ordering::Relaxed),
-            exec_misses: self.inner.exec_misses.load(Ordering::Relaxed),
-            sig_hits: self.inner.sig_hits.load(Ordering::Relaxed),
-            sig_misses: self.inner.sig_misses.load(Ordering::Relaxed),
-            exec_evicted: self.inner.exec_evicted.load(Ordering::Relaxed),
-            sig_evicted: self.inner.sig_evicted.load(Ordering::Relaxed),
+            exec_hits: load(&exec.hits),
+            exec_misses: load(&exec.misses),
+            sig_hits: load(&sig.hits),
+            sig_misses: load(&sig.misses),
+            exec_evicted: load(&exec.evicted),
+            sig_evicted: load(&sig.evicted),
         }
     }
 
@@ -267,42 +259,22 @@ impl ChainStore {
         }
     }
 
-    /// Looks up a memoized execution, counting a hit or miss and re-stamping
-    /// the entry's epoch on hit.
-    pub(crate) fn lookup_exec(&self, key: &(H256, u64)) -> Option<ExecEntry> {
-        let exec = StoreInner::read(&self.inner.exec);
-        match exec.get(key) {
-            Some(slot) => {
-                slot.epoch
-                    .store(self.inner.epoch.load(Ordering::Relaxed), Ordering::Relaxed);
-                self.inner.exec_hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.entry.clone())
-            }
-            None => {
-                self.inner.exec_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// The memoized record under `key`, re-stamping its epoch. The importer
+    /// counts the lookup with [`ChainStore::count_exec`] once the header
+    /// checks pass, so a block they reject moves no meter.
+    pub(crate) fn lookup_exec(&self, key: &(H256, u64)) -> Option<Arc<BlockRecord>> {
+        self.inner.exec.get(key, self.inner.epoch())
     }
 
-    /// Memoizes a validated execution, flushing the map first if it is at
+    /// Counts one block lookup as a hit or a miss.
+    pub(crate) fn count_exec(&self, hit: bool) {
+        self.inner.exec.count(hit);
+    }
+
+    /// Memoizes a validated record, flushing the map first if it is at
     /// capacity.
-    pub(crate) fn insert_exec(&self, key: (H256, u64), entry: ExecEntry) {
-        let mut exec = StoreInner::write(&self.inner.exec);
-        if exec.len() >= self.inner.limits.max_exec_entries {
-            self.inner
-                .exec_evicted
-                .fetch_add(exec.len() as u64, Ordering::Relaxed);
-            exec.clear();
-        }
-        let epoch = self.inner.epoch.load(Ordering::Relaxed);
-        exec.insert(
-            key,
-            ExecSlot {
-                entry,
-                epoch: AtomicU64::new(epoch),
-            },
-        );
+    pub(crate) fn insert_exec(&self, key: (H256, u64), record: Arc<BlockRecord>) {
+        self.inner.exec.insert(key, record, self.inner.epoch());
     }
 }
 
@@ -354,35 +326,17 @@ impl SigCache {
         let Some(inner) = &self.inner else {
             return false;
         };
-        let sig = StoreInner::read(&inner.sig);
-        match sig.get(hash) {
-            Some(stamp) => {
-                stamp.store(inner.epoch.load(Ordering::Relaxed), Ordering::Relaxed);
-                inner.sig_hits.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            None => {
-                inner.sig_misses.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        let hit = inner.sig.get(hash, inner.epoch()).is_some();
+        inner.sig.count(hit);
+        hit
     }
 
     /// Records a successful verdict (no-op when disabled), flushing the map
     /// first if it is at capacity.
     pub(crate) fn record(&self, hash: H256) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut sig = StoreInner::write(&inner.sig);
-        if sig.len() >= inner.limits.max_sig_entries {
-            inner
-                .sig_evicted
-                .fetch_add(sig.len() as u64, Ordering::Relaxed);
-            sig.clear();
+        if let Some(inner) = &self.inner {
+            inner.sig.insert(hash, (), inner.epoch());
         }
-        let epoch = inner.epoch.load(Ordering::Relaxed);
-        sig.insert(hash, AtomicU64::new(epoch));
     }
 }
 
@@ -394,8 +348,16 @@ mod tests {
         blockfed_crypto::sha256::sha256(&[n])
     }
 
-    fn entry() -> ExecEntry {
-        (Arc::new(State::new()), Arc::new(Vec::new()))
+    fn entry() -> Arc<BlockRecord> {
+        Arc::new(BlockRecord::genesis(&crate::GenesisSpec::default()))
+    }
+
+    /// Looks `key` up and counts the outcome, as an import whose checks
+    /// pass does.
+    fn lookup(store: &ChainStore, key: &(H256, u64)) -> Option<Arc<BlockRecord>> {
+        let found = store.lookup_exec(key);
+        store.count_exec(found.is_some());
+        found
     }
 
     #[test]
@@ -408,7 +370,7 @@ mod tests {
         assert_eq!(store.exec_entries(), 1);
         assert_eq!(store.sig_entries(), 1);
 
-        // Epoch 2: entries from epoch 1 survive (keep_epochs = 1).
+        // Epoch 2: entries from epoch 1 survive (`KEEP_EPOCHS` = 1).
         store.begin_epoch();
         assert_eq!(store.exec_entries(), 1);
         assert_eq!(store.sig_entries(), 1);
@@ -430,7 +392,7 @@ mod tests {
         for _ in 0..5 {
             store.begin_epoch();
             // Touch it every epoch: never evicted.
-            assert!(store.lookup_exec(&(h(1), 0)).is_some());
+            assert!(lookup(&store, &(h(1), 0)).is_some());
         }
         assert_eq!(store.exec_entries(), 1);
         let c = store.counters();
@@ -440,23 +402,23 @@ mod tests {
 
     #[test]
     fn caps_flush_wholesale() {
-        let store = ChainStore::with_limits(StoreLimits {
-            max_exec_entries: 2,
-            max_sig_entries: 2,
-            keep_epochs: 1,
-        });
-        store.insert_exec((h(1), 0), entry());
-        store.insert_exec((h(2), 0), entry());
-        store.insert_exec((h(3), 0), entry()); // over cap: flush, then insert
+        let store = ChainStore::new();
+        let record = entry();
+        // One past the cap: the last insert flushes the map, then inserts.
+        for i in 0..=MAX_EXEC_ENTRIES as u64 {
+            store.insert_exec((h(1), i), Arc::clone(&record));
+        }
         assert_eq!(store.exec_entries(), 1);
-        assert_eq!(store.counters().exec_evicted, 2);
+        assert_eq!(store.counters().exec_evicted, MAX_EXEC_ENTRIES as u64);
 
         let cache = store.sig_cache();
-        cache.record(h(1));
-        cache.record(h(2));
-        cache.record(h(3));
+        for i in 0..=MAX_SIG_ENTRIES as u64 {
+            let mut bytes = [0u8; 32];
+            bytes[..8].copy_from_slice(&i.to_le_bytes());
+            cache.record(H256::from_bytes(bytes));
+        }
         assert_eq!(store.sig_entries(), 1);
-        assert_eq!(store.counters().sig_evicted, 2);
+        assert_eq!(store.counters().sig_evicted, MAX_SIG_ENTRIES as u64);
     }
 
     #[test]
@@ -472,10 +434,10 @@ mod tests {
     fn counters_delta_via_since() {
         let store = ChainStore::new();
         store.insert_exec((h(1), 0), entry());
-        let _ = store.lookup_exec(&(h(1), 0));
+        let _ = lookup(&store, &(h(1), 0));
         let base = store.counters();
-        let _ = store.lookup_exec(&(h(1), 0));
-        let _ = store.lookup_exec(&(h(9), 0));
+        let _ = lookup(&store, &(h(1), 0));
+        let _ = lookup(&store, &(h(9), 0));
         let d = store.counters().since(&base);
         assert_eq!(d.exec_hits, 1);
         assert_eq!(d.exec_misses, 1);

@@ -45,7 +45,7 @@ pub mod policy;
 pub use anomaly::{
     detect_degenerate, detect_norm_outliers, detect_unfit, AnomalyReason, AnomalyReport,
 };
-pub use blockfed_chain::{Blockchain, ChainStore, RetargetRule, StoreCounters, StoreLimits};
+pub use blockfed_chain::{Blockchain, ChainStore, RetargetRule, StoreCounters};
 pub use committee::{CommitteeAssignment, CommitteeSpec};
 pub use compute::ComputeProfile;
 pub use coupling::{

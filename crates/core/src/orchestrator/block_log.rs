@@ -23,9 +23,9 @@ pub(super) struct BlockLog {
 
 impl BlockLog {
     /// Appends `block`, decoding its registry calls from the receipts of
-    /// `sealer`, the chain that imported it. A block's receipts are a
-    /// function of the block and its parent, and every peer's chain shares
-    /// the run's execution memo, so every peer holds these same receipts.
+    /// `sealer`, the chain that imported it. The receipts belong to the
+    /// block's one validated record, which every peer's chain shares through
+    /// the run's store, so every peer holds these same receipts.
     /// Returns the block's index.
     pub fn push(&mut self, block: Arc<Block>, sealer: &Blockchain) -> usize {
         let (idx, hash) = (self.blocks.len(), block.hash());

@@ -180,7 +180,10 @@ pub struct DecentralizedConfig {
     /// effectively the legacy constant-difficulty behaviour — while the
     /// adaptive rules ([`RetargetRule::Pi`], [`RetargetRule::MovingAverage`])
     /// restore the configured cadence after hash-rate shocks instead of
-    /// letting them shift block production permanently.
+    /// letting them shift block production permanently. The rule sets the
+    /// race difficulty the simulated mining draws use; the difficulty
+    /// written into each block header (and summed by fork choice) is always
+    /// the Homestead step, set by [`Blockchain::build_candidate`].
     pub retarget: RetargetRule,
     /// Liveness watchdog: if no progress (a training completion, a first-time
     /// artifact arrival, or a round aggregation — block seals do not count,
