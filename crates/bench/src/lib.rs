@@ -3,6 +3,9 @@
 //! contention studies. Used by the `experiments` binary and the criterion
 //! benches.
 
+// No function over 120 counted lines (threshold in the root clippy.toml).
+#![warn(clippy::too_many_lines)]
+
 pub mod asyncopt;
 pub mod poisoning;
 pub mod sweep;

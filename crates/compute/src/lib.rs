@@ -31,6 +31,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// No function over 120 counted lines (threshold in the root clippy.toml).
+#![warn(clippy::too_many_lines)]
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};

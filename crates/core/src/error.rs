@@ -59,8 +59,8 @@ pub enum ConfigError {
     /// The link profile is invalid (e.g. a loss rate outside `[0, 1]`).
     /// Carries the link error's rendered form so the variant stays `Eq`.
     InvalidLink(String),
-    /// The adaptive policy controller is misconfigured (e.g. a bandit with no
-    /// arms or an exploration rate outside `[0, 1]`).
+    /// The adaptive policy controller is misconfigured (a `keep_fraction`
+    /// outside `(0, 1]`, or `wait_high_secs` below `wait_low_secs`).
     InvalidController(String),
     /// The committee layout is inconsistent with the peer count (e.g. more
     /// committees than peers).

@@ -13,7 +13,7 @@
 //!   algorithm, network-free) and `driver` (the event loop);
 //! * [`committee`] — the hierarchical layout: which committee each peer
 //!   aggregates in before the cross-committee merge;
-//! * [`policy`] — adaptive controllers that retune the wait policy, strategy
+//! * [`policy`] — the adaptive threshold rule that retunes the wait policy
 //!   and staleness decay at round boundaries;
 //! * [`faults`] — the timed fault and churn timeline (partitions, joins,
 //!   leaves, crashes, hash-rate shocks) and its validation;
@@ -60,7 +60,4 @@ pub use orchestrator::{
     registry_address, AuditRecord, ChainStats, Decentralized, DecentralizedConfig,
     DecentralizedRun, PeerRoundRecord, MAX_PEERS,
 };
-pub use policy::{
-    BanditConfig, ControllerRule, ControllerSpec, PolicyController, PolicyDecision, PolicyEvent,
-    RoundObservation, RuleConfig,
-};
+pub use policy::{ControllerSpec, PolicyDecision, PolicyEvent, RuleConfig};

@@ -37,7 +37,6 @@ use super::round::{AggArtifact, Aggregated, RoundEngine, Tier1Pending, Tier2};
 use super::{registry_address, Decentralized, DecentralizedConfig, PeerRoundRecord};
 use crate::coupling::{model_fingerprint, record_aggregate_tx, register_tx, submit_model_tx};
 use crate::faults::Fault;
-use crate::policy::RoundObservation;
 
 #[derive(Debug)]
 enum Event {
@@ -788,52 +787,16 @@ impl<'a> Run<'a> {
 
     /// Adaptive-controller decision point, called right after `peer`
     /// recorded a round: the *first* aggregation of each round feeds the
-    /// controller one observation (built purely from state the run already
-    /// tracks); its decisions re-tune rounds `round + 1` onward. A quiet
-    /// controller leaves every meter, clock and other RNG stream untouched.
+    /// rule one observation (see [`super::round::PolicyEngine::observe`]);
+    /// its decisions re-tune rounds `round + 1` onward. A quiet rule leaves
+    /// every meter, clock and RNG stream untouched.
     fn consult_controller(&mut self, peer: usize, now: SimTime) {
-        let p = &self.peers[peer];
-        let policy = &mut self.engine.policy;
-        let Some(rec) = p.records.last() else {
+        let Some(rec) = self.peers[peer].records.last() else {
             return;
         };
         let round = rec.round;
-        if policy.controller.is_none() || round <= policy.last_observed {
-            return;
-        }
-        policy.last_observed = round;
-        let canonical = p.node.chain.head_block().number();
-        let sealed = self.block_log.len() as u64;
-        let fork_rate = if sealed == 0 {
-            0.0
-        } else {
-            (1.0 - canonical.min(sealed) as f64 / sealed as f64).max(0.0)
-        };
-        let spread = self
-            .obs
-            .metrics
-            .histogram("train_secs")
-            .map(|h| h.max() - h.min())
-            .unwrap_or(0.0);
-        let accuracy = rec.chosen_accuracy;
-        let accuracy_delta = policy.prev_accuracy.map_or(0.0, |prev| accuracy - prev);
-        policy.prev_accuracy = Some(accuracy);
-        let knobs = policy.at(round);
-        let observation = RoundObservation {
-            round,
-            wait_secs: rec.wait.as_secs_f64(),
-            staleness_mean_secs: rec.update_age_mean.as_secs_f64(),
-            fork_rate,
-            straggler_spread_secs: spread,
-            accuracy,
-            accuracy_delta,
-            active_peers: self.live.iter().filter(|a| **a).count(),
-            committees: self.engine.layout.count,
-            updates_used: rec.updates_used,
-            wait_policy: knobs.wait,
-            staleness_decay: knobs.decay,
-        };
-        for d in policy.observe(&observation, now) {
+        let bar = self.engine.layout.bar(peer, &self.live);
+        for d in self.engine.policy.observe(rec, bar, now) {
             // A policy switch is forward motion: reset the watchdog's
             // progress clock so a controlled run cannot be killed mid-switch,
             // and meter + trace the decision.

@@ -31,11 +31,11 @@
 //!
 //! * `node` — a peer's chain view: key, chain (each block's state shared with
 //!   every other peer through the run's [`ChainStore`]), mempool, runtime,
-//!   artifacts held, orphan import, and the head-and-round-keyed memo of its
-//!   confirmed submissions and aggregate records;
-//! * `round` — the round algorithm: per-round policy, screening gates,
-//!   staleness re-weighting, tier-1 committee aggregation and the tier-2
-//!   merge, all as functions of a node that return values;
+//!   artifacts held, ancestor-path import, and the head-and-round-keyed memo
+//!   of its confirmed submissions and aggregate records;
+//! * `round` — the round algorithm: the per-round policy table, screening
+//!   gates, staleness re-weighting, tier-1 committee aggregation and the
+//!   tier-2 merge, all as functions of a node that return values;
 //! * `driver` — the event loop: scheduler, gossip / pull / fetch plumbing,
 //!   fault handlers, watchdog, telemetry, and the fold into the result.
 //!
@@ -200,15 +200,18 @@ pub struct DecentralizedConfig {
     /// re-run a suffix of a finished run under a different strategy (e.g.
     /// "replay round 40 under BestK instead of Consider") while the shared
     /// [`ChainStore`] (see [`Decentralized::with_store`]) serves the
-    /// unchanged prefix from its memo. The round is 1-based.
+    /// unchanged prefix from its memo. The round is 1-based. The switch is
+    /// written into the run's per-round policy table at construction; the
+    /// controller cannot move it.
     pub strategy_switch: Option<(u32, Strategy)>,
-    /// Optional adaptive policy controller (see [`ControllerSpec`]): observes
-    /// each round's wait time, staleness, fork rate, straggler spread, and
-    /// accuracy delta and may switch the wait policy, aggregation strategy,
-    /// or staleness decay **from the next round on**. Decisions land in
-    /// [`DecentralizedRun::policy_events`] and draw randomness only from the
-    /// dedicated `"policy-controller"` RNG stream, so a controller that never
-    /// fires reproduces the static run bit for bit.
+    /// Optional adaptive policy controller, the threshold rule (see
+    /// [`ControllerSpec`]): observes each round's wait time, update
+    /// staleness and accuracy delta at its first aggregation and may switch
+    /// the wait policy or the staleness decay **from the next round on**. A
+    /// demoted first-k is sized from the live members of the aggregating
+    /// peer's committee. Decisions land in
+    /// [`DecentralizedRun::policy_events`]; the rule draws no randomness, so
+    /// a rule that never fires reproduces the static run bit for bit.
     pub controller: Option<ControllerSpec>,
     /// Master seed.
     pub seed: u64,
@@ -1885,13 +1888,57 @@ mod tests {
     }
 
     #[test]
+    fn demotion_sizes_first_k_from_the_committee_bar() {
+        // Two contiguous committees of four, one slow trainer in each, so
+        // every wait-all tier-1 round waits on a straggler. A demoted
+        // first-k sized from the whole population (8 · 0.5 = 4) would still
+        // wait for every committee member; sized from the committee bar it
+        // lets a later round aggregate without its straggler.
+        let n = 8;
+        let (train, test) = SynthCifar::new(SynthCifarConfig::tiny()).generate(2);
+        let shards = partition_dataset(&train, n, Partition::Iid, &mut StdRng::seed_from_u64(3));
+        let tests = vec![test; n];
+        let mut cfg = straggler_config(WaitPolicy::All, 84);
+        cfg.rounds = 3;
+        cfg.computes = vec![cfg.computes[0]; n];
+        cfg.computes[0].train_rate = 1.0;
+        cfg.computes[4].train_rate = 1.0;
+        cfg.committees = Some(crate::committee::CommitteeSpec::contiguous(2));
+        cfg.controller = Some(ControllerSpec::threshold(crate::policy::RuleConfig {
+            wait_high_secs: 1.0,
+            ..Default::default()
+        }));
+        let driver = Decentralized::new(cfg, &shards, &tests);
+        let nn = SimpleNnConfig::tiny(tests[0].feature_dim(), tests[0].num_classes());
+        let mut arch_rng = StdRng::seed_from_u64(84);
+        let out = driver.run(&mut || nn.build(&mut arch_rng));
+        let first = out.policy_events.first().expect("the rule never fired");
+        let thinned = out
+            .peer_records
+            .iter()
+            .flatten()
+            .any(|r| r.round > first.round && r.updates_used < 4);
+        assert!(thinned, "no later tier-1 round left a straggler out");
+    }
+
+    /// A threshold rule whose thresholds no round can cross.
+    fn never_firing_rule() -> ControllerSpec {
+        ControllerSpec::threshold(crate::policy::RuleConfig {
+            wait_high_secs: f64::INFINITY,
+            wait_low_secs: 0.0,
+            keep_fraction: 1.0,
+            staleness_high_secs: f64::INFINITY,
+        })
+    }
+
+    #[test]
     fn noop_controller_is_bit_identical_to_static() {
         // The controller hook must be free when it never fires: same records,
         // metrics, chain, and settle time as the static run, and an empty
         // decision log.
         let baseline = run(WaitPolicy::All, 83);
         let mut cfg = quick_config(WaitPolicy::All, 83);
-        cfg.controller = Some(ControllerSpec::noop());
+        cfg.controller = Some(never_firing_rule());
         let noop = run_with(cfg, 83);
         assert_eq!(baseline.peer_records, noop.peer_records);
         assert_eq!(baseline.metrics, noop.metrics);
@@ -1905,9 +1952,9 @@ mod tests {
     fn invalid_controller_rejected_with_typed_error() {
         let fx = fixture();
         let mut cfg = quick_config(WaitPolicy::All, 1);
-        cfg.controller = Some(ControllerSpec::bandit(crate::policy::BanditConfig {
-            arms: Vec::new(),
-            epsilon: 0.2,
+        cfg.controller = Some(ControllerSpec::threshold(crate::policy::RuleConfig {
+            keep_fraction: 0.0,
+            ..Default::default()
         }));
         let err = Decentralized::try_new(cfg, &fx.shards, &fx.tests)
             .err()

@@ -2,16 +2,15 @@
 //! the artifacts it holds, and the memoised reads the round engine polls. A
 //! `Node` knows no scheduler, network or telemetry: every method is a plain
 //! state transition that returns what happened. The run's [`BlockLog`] is
-//! passed in where a read needs it: an import pulls missing parents from it
-//! by hash, and the confirmed-call reads walk this node's canonical hashes
-//! and concatenate the calls the log decoded once per sealed block.
+//! passed in where a read needs it: an import walks back through it to the
+//! first ancestor the chain holds, and the confirmed-call reads walk this
+//! node's canonical hashes and concatenate the calls the log decoded once per
+//! sealed block.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use blockfed_chain::{
-    Block, Blockchain, ChainStore, ImportError, ImportOutcome, Mempool, Transaction,
-};
+use blockfed_chain::{Block, Blockchain, ChainStore, ImportOutcome, Mempool, Transaction};
 use blockfed_crypto::{KeyPair, H256};
 use blockfed_fl::ModelUpdate;
 use blockfed_vm::{BlockfedRuntime, NativeContract};
@@ -65,8 +64,6 @@ pub(super) struct Node {
     /// after each import so a reorg that unwinds a fork cannot silently
     /// discard them (real clients re-broadcast their pending transactions).
     my_txs: Vec<Transaction>,
-    /// Indices into the run's block log still waiting for a parent.
-    orphans: Vec<usize>,
     memo: Option<Memo>,
 }
 
@@ -85,7 +82,6 @@ impl Node {
             model_store: HashMap::new(),
             agg_store: HashMap::new(),
             my_txs: Vec::new(),
-            orphans: Vec::new(),
             memo: None,
         }
     }
@@ -124,54 +120,31 @@ impl Node {
         Some(block)
     }
 
-    /// Imports `log`'s block `idx`, retrying parked orphans until none
-    /// imports (parents may arrive out of order). A block whose parent was
-    /// never delivered — its flood crossed a partition, or this node was
-    /// dormant — triggers an ancestor sync: a request to whoever sent the
-    /// descendant, modelled as a lookup in the run's block log. A block the
-    /// chain rejects is dropped, and so is every orphan waiting on it.
-    /// Returns the reorgs the imports caused, in order.
+    /// Imports `log`'s block `idx` with every ancestor this chain lacks. A
+    /// block whose parent was never delivered — its flood crossed a
+    /// partition, or this node was dormant — triggers an ancestor sync: a
+    /// request to whoever sent the descendant, modelled as a walk back
+    /// through the run's block log to the first ancestor the chain holds.
+    /// The path imports oldest-first and stops at the first block the chain
+    /// rejects, since none of its descendants can import either. Returns the
+    /// reorgs the imports caused, in order.
     pub fn import(&mut self, idx: usize, log: &BlockLog) -> Vec<Reorg> {
-        let mut reorgs = Vec::new();
-        let mut rejected: Vec<usize> = Vec::new();
-        self.orphans.push(idx);
+        let mut path = vec![log.block(idx)];
         loop {
-            let mut progressed = false;
-            let mut missing: Vec<(usize, H256)> = Vec::new();
-            for i in std::mem::take(&mut self.orphans) {
-                match self
-                    .chain
-                    .import_arc(Arc::clone(log.block(i)), &mut self.runtime)
-                {
-                    Ok(outcome) => {
-                        if let ImportOutcome::Reorged { old_head } = outcome {
-                            reorgs.push((old_head, self.chain.head_block().number()));
-                        }
-                        progressed = true;
-                    }
-                    Err(ImportError::UnknownParent(parent)) => {
-                        self.orphans.push(i);
-                        missing.push((i, parent));
-                    }
-                    Err(_) => rejected.push(i), // permanently invalid; drop
-                }
+            let parent = path[path.len() - 1].header.parent;
+            match log.position(&parent) {
+                Some(j) if !self.chain.contains(&parent) => path.push(log.block(j)),
+                _ => break,
             }
-            for (i, parent) in missing {
-                match log.position(&parent) {
-                    // The parent can never import, so neither can `i`.
-                    Some(j) if rejected.contains(&j) => {
-                        self.orphans.retain(|&o| o != i);
-                        rejected.push(i);
-                    }
-                    Some(j) if !self.orphans.contains(&j) => {
-                        self.orphans.push(j);
-                        progressed = true; // new material: retry the loop
-                    }
-                    _ => {}
+        }
+        let mut reorgs = Vec::new();
+        for block in path.into_iter().rev() {
+            match self.chain.import_arc(Arc::clone(block), &mut self.runtime) {
+                Ok(ImportOutcome::Reorged { old_head }) => {
+                    reorgs.push((old_head, self.chain.head_block().number()));
                 }
-            }
-            if !progressed || self.orphans.is_empty() {
-                break;
+                Ok(_) => {}
+                Err(_) => break,
             }
         }
         self.mempool.prune(self.chain.state());
@@ -323,10 +296,8 @@ pub(super) mod tests {
             for _ in 0..3 {
                 assert!(node.import(1, &log).is_empty());
                 assert!(!node.chain.contains(&child_hash));
-                assert!(node.orphans.is_empty(), "{:?}", node.orphans);
             }
             assert!(node.sync(&log).is_empty());
-            assert!(node.orphans.is_empty(), "{:?}", node.orphans);
             assert_eq!(node.chain.head(), genesis);
         }
     }

@@ -14,16 +14,13 @@ use blockfed_fl::{
 };
 use blockfed_nn::{InferScratch, Sequential};
 use blockfed_sim::{RngHub, SimTime};
-use rand::rngs::StdRng;
 
 use super::block_log::BlockLog;
 use super::node::Node;
-use super::DecentralizedConfig;
+use super::{DecentralizedConfig, PeerRoundRecord};
 use crate::committee::CommitteeSpec;
 use crate::coupling::{AggregateRecord, ConfirmedSubmission};
-use crate::policy::{
-    ControllerSpec, PolicyController, PolicyDecision, PolicyEvent, RoundObservation,
-};
+use crate::policy::{PolicyDecision, PolicyEvent, RoundObservation, RuleConfig};
 
 /// One compute worker's scoring state, kept for the whole run: a scratch
 /// model and the inference scratch it is scored with, so scoring allocates
@@ -82,89 +79,102 @@ pub(super) struct RoundPolicy {
     pub decay: Option<StalenessDecay>,
 }
 
-/// The run's per-round policy state: the effective knobs for every round
-/// (static config, `strategy_switch`, and controller decisions all resolve
-/// here), the controller itself, its dedicated RNG stream, and the decision
-/// log.
+/// The run's per-round policy table: the effective knobs for every round
+/// (static config, `strategy_switch` and the rule's decisions all resolve
+/// here), the threshold rule, and the decision log.
 ///
 /// Invariant: round `r`'s policy never changes once any peer can be waiting
-/// in it — the controller observes round `r` at its *first* aggregation and
-/// its decisions apply to rounds `r + 1` onward only, so a wait bar can never
+/// in it — the rule observes round `r` at its *first* aggregation and its
+/// decisions apply to rounds `r + 1` onward only, so a wait bar can never
 /// move under a peer mid-wait.
 pub(super) struct PolicyEngine {
     /// Effective policy per round, indexed 1-based (`slot 0` unused).
     by_round: Vec<RoundPolicy>,
-    pub controller: Option<Box<dyn PolicyController>>,
-    rng: StdRng,
+    rule: Option<RuleConfig>,
     pub decisions: Vec<PolicyEvent>,
-    /// Highest round already observed by the controller (each round is
-    /// observed once, at its first aggregation anywhere).
-    pub last_observed: u32,
+    /// Highest round already observed by the rule (each round is observed
+    /// once, at its first aggregation anywhere).
+    last_observed: u32,
     /// Accuracy of the previous observation, for the delta signal.
-    pub prev_accuracy: Option<f64>,
-    /// The configured replay cutover (see [`PolicyEngine::at`]).
-    strategy_switch: Option<(u32, Strategy)>,
-    /// Whether the replay cutover has fired (noted once as progress).
-    cutover_noted: bool,
+    prev_accuracy: Option<f64>,
+    /// The configured `strategy_switch` round, until the first aggregation
+    /// at or past it takes it (see [`PolicyEngine::cutover_fires`]).
+    cutover: Option<u32>,
 }
 
 impl PolicyEngine {
-    fn new(cfg: &DecentralizedConfig, hub: &RngHub) -> Self {
+    fn new(cfg: &DecentralizedConfig) -> Self {
         let configured = RoundPolicy {
             wait: cfg.wait_policy,
             strategy: cfg.strategy,
             decay: cfg.staleness_decay,
         };
+        let mut by_round = vec![configured; cfg.rounds as usize + 1];
+        if let Some((from, strategy)) = cfg.strategy_switch {
+            let from = (from as usize).min(by_round.len());
+            for slot in &mut by_round[from..] {
+                slot.strategy = strategy;
+            }
+        }
         PolicyEngine {
-            by_round: vec![configured; cfg.rounds as usize + 1],
-            controller: cfg.controller.as_ref().map(ControllerSpec::build),
-            rng: hub.stream("policy-controller"),
+            by_round,
+            rule: cfg.controller.as_ref().map(|c| c.rule.clone()),
             decisions: Vec::new(),
             last_observed: 0,
             prev_accuracy: None,
-            strategy_switch: cfg.strategy_switch,
-            cutover_noted: false,
+            cutover: cfg.strategy_switch.map(|(from, _)| from),
         }
     }
 
-    /// The knobs `round` runs under. An explicit replay cutover is a
-    /// directive, not a default: it outranks whatever the controller wrote.
+    /// The knobs `round` runs under.
     pub fn at(&self, round: u32) -> RoundPolicy {
-        let mut knobs = self.by_round[(round as usize).min(self.by_round.len() - 1)];
-        if let Some((_, s)) = self.strategy_switch.filter(|(from, _)| round >= *from) {
-            knobs.strategy = s;
-        }
-        knobs
+        self.by_round[(round as usize).min(self.by_round.len() - 1)]
     }
 
     /// Whether `round` is the first aggregation at or past a configured
     /// `strategy_switch` — true exactly once per run.
     pub fn cutover_fires(&mut self, round: u32) -> bool {
-        let fires =
-            !self.cutover_noted && self.strategy_switch.is_some_and(|(from, _)| round >= from);
-        self.cutover_noted |= fires;
-        fires
+        self.cutover.take_if(|from| round >= *from).is_some()
     }
 
-    /// Feeds the controller one round observation and applies its decisions
-    /// to every round after `obs.round`. Returns the applied decisions (empty
-    /// when no controller is set or it stays quiet).
-    pub fn observe(&mut self, obs: &RoundObservation, at: SimTime) -> Vec<PolicyDecision> {
-        let Some(ctl) = self.controller.as_mut() else {
+    /// Feeds the rule the round `rec` just recorded — once per round, at its
+    /// first aggregation anywhere — and applies its decisions to every later
+    /// round. `bar` is the live membership of the aggregating peer's
+    /// committee, the population its wait policy measured against. Returns
+    /// the applied decisions (empty when no rule is set or it stays quiet).
+    pub fn observe(
+        &mut self,
+        rec: &PeerRoundRecord,
+        bar: usize,
+        at: SimTime,
+    ) -> Vec<PolicyDecision> {
+        let round = rec.round;
+        let Some(rule) = self.rule.as_ref().filter(|_| round > self.last_observed) else {
             return Vec::new();
         };
-        let decisions = ctl.decide(obs, &mut self.rng);
-        let from = (obs.round as usize + 1).min(self.by_round.len());
+        self.last_observed = round;
+        let accuracy = rec.chosen_accuracy;
+        let accuracy_delta = self.prev_accuracy.map_or(0.0, |prev| accuracy - prev);
+        self.prev_accuracy = Some(accuracy);
+        let knobs = self.at(round);
+        let decisions = rule.decide(&RoundObservation {
+            wait_secs: rec.wait.as_secs_f64(),
+            staleness_mean_secs: rec.update_age_mean.as_secs_f64(),
+            accuracy_delta,
+            active_peers: bar,
+            wait_policy: knobs.wait,
+            staleness_decay: knobs.decay,
+        });
+        let from = (round as usize + 1).min(self.by_round.len());
         for d in &decisions {
             for slot in &mut self.by_round[from..] {
                 match *d {
                     PolicyDecision::SetWaitPolicy(w) => slot.wait = w,
-                    PolicyDecision::SetStrategy(s) => slot.strategy = s,
                     PolicyDecision::SetStalenessDecay(dec) => slot.decay = dec,
                 }
             }
             self.decisions.push(PolicyEvent {
-                round: obs.round,
+                round,
                 at,
                 decision: *d,
             });
@@ -190,6 +200,14 @@ impl Layout {
             count: spec.count,
             of: spec.assign(n),
         }
+    }
+
+    /// The live members of `peer`'s committee: the bar its wait policy
+    /// measures against.
+    pub fn bar(&self, peer: usize, live: &[bool]) -> usize {
+        (0..live.len())
+            .filter(|&i| live[i] && self.same(i, peer))
+            .count()
     }
 
     /// Whether peers `a` and `b` share a committee.
@@ -304,7 +322,7 @@ impl<'a> RoundEngine<'a> {
             hub,
             layout: Layout::new(cfg, addrs.len()),
             clients: addrs.iter().copied().zip((0..).map(ClientId)).collect(),
-            policy: PolicyEngine::new(cfg, &hub),
+            policy: PolicyEngine::new(cfg),
             pool,
         }
     }
@@ -340,9 +358,7 @@ impl<'a> RoundEngine<'a> {
         test: &Dataset,
         log: &BlockLog,
     ) -> (Vec<Dropped>, Option<Aggregated>) {
-        let bar = (0..live.len())
-            .filter(|&i| live[i] && self.layout.same(i, peer))
-            .count();
+        let bar = self.layout.bar(peer, live);
         let policy = self.policy.at(round);
         // The bar is checked on plain counts first: this runs on every
         // delivered transaction, so no parameters are cloned until the policy
@@ -597,10 +613,13 @@ mod tests {
     use super::*;
     use crate::coupling::{model_fingerprint, record_aggregate_tx, register_tx, submit_model_tx};
     use crate::orchestrator::registry_address;
+    use crate::policy::ControllerSpec;
     use blockfed_chain::Transaction;
     use blockfed_data::{SynthCifar, SynthCifarConfig};
     use blockfed_nn::SimpleNnConfig;
+    use blockfed_sim::SimDuration;
     use blockfed_vm::ComboMask;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// A test set and a scratch model for it.
@@ -661,6 +680,66 @@ mod tests {
     fn hold(node: &mut Node, update: &ModelUpdate) {
         node.model_store
             .insert(model_fingerprint(update), update.clone());
+    }
+
+    /// A round-`round` record that waited `wait_secs` at `accuracy`.
+    fn record(round: u32, wait_secs: f64, accuracy: f64) -> PeerRoundRecord {
+        PeerRoundRecord {
+            round,
+            combos: Vec::new(),
+            chosen: String::new(),
+            chosen_accuracy: accuracy,
+            wait: SimDuration::from_secs_f64(wait_secs),
+            aggregated_at: SimTime::ZERO,
+            updates_used: 4,
+            update_age_mean: SimDuration::ZERO,
+            update_age_max: SimDuration::ZERO,
+            dropped: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn policy_table_applies_switches_and_decisions_from_their_round_on() {
+        let cfg = DecentralizedConfig {
+            rounds: 6,
+            strategy_switch: Some((3, Strategy::NotConsider)),
+            controller: Some(ControllerSpec::threshold(RuleConfig {
+                wait_high_secs: 2.0,
+                ..RuleConfig::default()
+            })),
+            ..DecentralizedConfig::default()
+        };
+        let mut table = PolicyEngine::new(&cfg);
+        let strategies: Vec<Strategy> = (1..=6).map(|r| table.at(r).strategy).collect();
+        let want = [Strategy::Consider, Strategy::NotConsider];
+        assert_eq!(strategies, [0, 0, 1, 1, 1, 1].map(|i| want[i]));
+
+        // The cutover fires at the first round at or past 3, and only once.
+        let fired: Vec<bool> = [1, 2, 3, 3, 4, 5].map(|r| table.cutover_fires(r)).into();
+        assert_eq!(fired, [false, false, true, false, false, false]);
+
+        // A quiet round changes nothing; a slow round 2 demotes rounds 3
+        // onward to first-k over half the bar, and round 2 keeps wait-all.
+        assert!(table
+            .observe(&record(1, 0.5, 0.4), 8, SimTime::ZERO)
+            .is_empty());
+        let demoted = PolicyDecision::SetWaitPolicy(WaitPolicy::FirstK(4));
+        let at = SimTime::from_secs(9);
+        assert_eq!(table.observe(&record(2, 3.0, 0.5), 8, at), [demoted]);
+        let waits: Vec<WaitPolicy> = (1..=6).map(|r| table.at(r).wait).collect();
+        let want = [WaitPolicy::All, WaitPolicy::FirstK(4)];
+        assert_eq!(waits, [0, 0, 1, 1, 1, 1].map(|i| want[i]));
+        let event = PolicyEvent {
+            round: 2,
+            at,
+            decision: demoted,
+        };
+        assert_eq!(table.decisions, [event]);
+        // Each round is observed once: a later aggregation of round 2 is
+        // ignored, however slow it was.
+        assert!(table.observe(&record(2, 30.0, 0.1), 8, at).is_empty());
+        // The switch still holds where the demotion landed.
+        assert_eq!(table.at(3).strategy, Strategy::NotConsider);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No function over 120 counted lines (threshold in the root clippy.toml).
+#![warn(clippy::too_many_lines)]
 
 pub mod async_policy;
 pub mod attack;

@@ -26,6 +26,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No function over 120 counted lines (threshold in the root clippy.toml).
+#![warn(clippy::too_many_lines)]
 
 pub mod layer;
 pub mod loss;

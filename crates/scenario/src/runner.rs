@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use blockfed_core::{ChainStore, ControllerSpec};
+use blockfed_core::ChainStore;
 use blockfed_data::{partition_dataset, Dataset, SynthCifar};
 use blockfed_fl::Strategy;
 use blockfed_sim::RngHub;
@@ -98,34 +98,6 @@ impl ScenarioRunner {
             .strategy_switch_at(at_round, strategy);
         let replay = self.run_with_store(&replay_spec, &store);
         (base, replay)
-    }
-
-    /// Controller-vs-static comparison from a shared prefix — the
-    /// [`ScenarioRunner::run_fork_replay`] pattern with the adaptive
-    /// controller as the delta. Runs `spec` (with any controller stripped)
-    /// against a fresh store, then a derived spec (named `{name}+ctl={…}`)
-    /// with `controller` attached against the *same* store: the rounds before
-    /// the controller's first firing replay from the execution memo instead
-    /// of being re-executed. Returns the (static, controlled) reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`ScenarioSpec::validate`] or the controller
-    /// spec is invalid.
-    pub fn run_controller_replay(
-        &self,
-        spec: &ScenarioSpec,
-        controller: ControllerSpec,
-    ) -> (CellReport, CellReport) {
-        let store = ChainStore::new();
-        let mut static_spec = spec.clone();
-        static_spec.controller = None;
-        let base = self.run_with_store(&static_spec, &store);
-        let controlled_spec = static_spec
-            .named(format!("{}+ctl={controller}", spec.name))
-            .controller(controller);
-        let controlled = self.run_with_store(&controlled_spec, &store);
-        (base, controlled)
     }
 
     fn run_cell(
@@ -266,6 +238,7 @@ fn prepare_data(spec: &ScenarioSpec) -> (Vec<Dataset>, Vec<Dataset>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::tests::never_firing_rule;
     use blockfed_fl::{Strategy, WaitPolicy};
 
     /// A small but fully featured churn cell: heterogeneous compute, one
@@ -445,8 +418,7 @@ mod tests {
         // PartialEq — each must keep the pair distinct.
         let base = ScenarioSpec::new("key", 3).rounds(1);
         let variants = [
-            base.clone()
-                .controller(blockfed_core::ControllerSpec::noop()),
+            base.clone().controller(never_firing_rule()),
             base.clone()
                 .committees(blockfed_core::CommitteeSpec::contiguous(2)),
             base.clone()
@@ -455,16 +427,16 @@ mod tests {
         for v in &variants {
             assert_ne!(base, *v, "field must be part of spec identity: {}", v.name);
         }
-        // End to end: a matrix whose controller axis is (static, noop) runs
-        // both cells instead of cloning one report — visible in the reports'
-        // controller columns.
-        let matrix = ScenarioMatrix::new(base.clone())
-            .vary_controller(&[None, Some(blockfed_core::ControllerSpec::noop())]);
+        // End to end: a matrix whose controller axis is (static, a rule that
+        // never fires) runs both cells instead of cloning one report —
+        // visible in the reports' controller columns.
+        let matrix =
+            ScenarioMatrix::new(base.clone()).vary_controller(&[None, Some(never_firing_rule())]);
         let report = ScenarioRunner::new().run_matrix(&matrix);
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.cells[0].controller, None);
-        assert_eq!(report.cells[1].controller, Some("noop".into()));
-        assert!(report.cells[1].name.ends_with("/ctl=noop"));
+        assert_eq!(report.cells[1].controller, Some("rule".into()));
+        assert!(report.cells[1].name.ends_with("/ctl=rule"));
         // Same end to end for the hierarchical axes: flat vs committee runs
         // both cells (visible in the committee meters), never one clone.
         let hier = ScenarioMatrix::new(base.rounds(1))
@@ -479,30 +451,6 @@ mod tests {
             "the committee cell must actually merge: {:?}",
             hier_report.cells[1]
         );
-    }
-
-    #[test]
-    fn controller_replay_shares_the_prefix_with_the_static_run() {
-        // run_controller_replay is the fork-replay pattern with the adaptive
-        // controller as the delta: same store, so the rounds before the
-        // controller's first firing come from the execution memo.
-        let spec = churn_spec(5, 9).rounds(3);
-        let runner = ScenarioRunner::new();
-        let ctl = blockfed_core::ControllerSpec::threshold(Default::default());
-        let (base, controlled) = runner.run_controller_replay(&spec, ctl.clone());
-        assert_eq!(base.controller, None);
-        assert_eq!(controlled.controller, Some("rule".into()));
-        assert!(controlled.name.ends_with("+ctl=rule"));
-        // The static leg matches a plain private-store run bit for bit.
-        assert_eq!(base, runner.run(&spec));
-        assert!(
-            controlled.metrics.counter("store_exec_hits") > 0,
-            "controlled leg must reuse the static prefix: {controlled:?}"
-        );
-        // Replaying the comparison is itself deterministic.
-        let (base2, controlled2) = runner.run_controller_replay(&spec, ctl);
-        assert_eq!(base, base2);
-        assert_eq!(controlled, controlled2);
     }
 
     #[test]

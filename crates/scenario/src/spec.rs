@@ -612,11 +612,21 @@ impl ScenarioSpec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use blockfed_core::{RetargetRule, MAX_PEERS};
+    use blockfed_core::{RetargetRule, RuleConfig, MAX_PEERS};
     use blockfed_fl::{Attack, ClientId, StalenessDecay};
     use blockfed_net::Topology;
+
+    /// A threshold rule whose thresholds no round can cross.
+    pub(crate) fn never_firing_rule() -> ControllerSpec {
+        ControllerSpec::threshold(RuleConfig {
+            wait_high_secs: f64::INFINITY,
+            wait_low_secs: 0.0,
+            keep_fraction: 1.0,
+            staleness_high_secs: f64::INFINITY,
+        })
+    }
 
     #[test]
     fn lowering_is_the_config_with_strategy_and_batch_parallel_resolved() {
@@ -647,7 +657,7 @@ mod tests {
             .link(LinkSpec::wan())
             .loss(0.05)
             .watchdog_secs(30.0)
-            .controller(ControllerSpec::noop())
+            .controller(never_firing_rule())
             .gossip(GossipMode::Full)
             .committees(CommitteeSpec::contiguous(2))
             .fitness_threshold(0.2)
@@ -697,7 +707,7 @@ mod tests {
             retarget: RetargetRule::Pi { kp: 0.3, ki: 0.05 },
             watchdog: Some(SimDuration::from_secs(30)),
             strategy_switch: Some((2, Strategy::NotConsider)),
-            controller: Some(ControllerSpec::noop()),
+            controller: Some(never_firing_rule()),
             seed: 7,
         };
         assert_eq!(spec.decentralized_config(), expected);

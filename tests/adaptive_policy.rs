@@ -1,13 +1,12 @@
 //! Adaptive-policy invariance: attaching a controller that never fires must
-//! be completely free. A run with `ControllerSpec::noop()` reproduces the
-//! static run bit for bit — per-peer records, canonical chain stats, the full
-//! folded metric set, and the raw trace bytes — at 1 and 8 compute threads,
-//! on calm runs and under a chaos timeline (partition + heal, crash +
-//! restart). Controllers that *do* fire (threshold rules, the ε-greedy
-//! bandit) draw only from their dedicated RNG stream, so controlled runs are
-//! themselves bit-identical at any thread count. On a 48-peer churn+shock
-//! cell the threshold controller reaches 95 % accuracy no later than every
-//! static wait policy.
+//! be completely free. A run under a threshold rule no round can trip
+//! reproduces the static run bit for bit — per-peer records, canonical chain
+//! stats, the full folded metric set, and the raw trace bytes — at 1 and 8
+//! compute threads, on calm runs and under a chaos timeline (partition +
+//! heal, crash + restart). The rule draws no randomness, so a rule that
+//! *does* fire is itself bit-identical at any thread count. On a 48-peer
+//! churn+shock cell the threshold controller reaches 95 % accuracy no later
+//! than every static wait policy.
 
 mod common;
 
@@ -64,6 +63,16 @@ struct Fingerprint {
     fetch_bytes: u64,
     policy_events: Vec<blockfed::core::PolicyEvent>,
     trace: String,
+}
+
+/// A threshold rule whose thresholds no round can cross.
+fn never_firing_rule() -> ControllerSpec {
+    ControllerSpec::threshold(RuleConfig {
+        wait_high_secs: f64::INFINITY,
+        wait_low_secs: 0.0,
+        keep_fraction: 1.0,
+        staleness_high_secs: f64::INFINITY,
+    })
 }
 
 fn run_once(n: usize, seed: u64, chaos: bool, controller: Option<ControllerSpec>) -> Fingerprint {
@@ -123,18 +132,18 @@ proptest! {
         for &threads in &THREAD_COUNTS {
             blockfed::compute::set_threads(threads);
             let fp_static = run_once(n, seed, chaos, None);
-            let fp_noop = run_once(n, seed, chaos, Some(ControllerSpec::noop()));
+            let fp_noop = run_once(n, seed, chaos, Some(never_firing_rule()));
             prop_assert!(
                 fp_noop.policy_events.is_empty(),
-                "noop controller logged a decision"
+                "never-firing rule logged a decision"
             );
             prop_assert_eq!(
                 fp_noop.metrics.counter("policy_switches"), 0,
-                "noop controller metered a switch"
+                "never-firing rule metered a switch"
             );
             prop_assert_eq!(
                 &fp_noop, &fp_static,
-                "noop-controller run diverged at {} threads (chaos={})",
+                "never-firing-rule run diverged at {} threads (chaos={})",
                 threads, chaos
             );
             // And every thread count reproduces the same simulation.
@@ -147,29 +156,29 @@ proptest! {
     }
 }
 
-/// A controller that *does* fire draws only from its dedicated RNG stream,
-/// so controlled runs — threshold and bandit alike — are bit-identical at 1
-/// and 8 threads, calm or chaotic.
+/// A rule that *does* fire draws no randomness, so controlled runs are
+/// bit-identical at 1 and 8 threads, calm or chaotic. Any wait trips this
+/// rule, so every run demotes wait-all.
 #[test]
 fn firing_controllers_are_thread_count_invariant() {
     let _g = thread_guard();
-    let controllers = [
-        ControllerSpec::threshold(Default::default()),
-        ControllerSpec::bandit(Default::default()),
-    ];
-    for ctl in controllers {
-        for chaos in [false, true] {
-            let mut baseline: Option<Fingerprint> = None;
-            for &threads in &THREAD_COUNTS {
-                blockfed::compute::set_threads(threads);
-                let fp = run_once(4, 11, chaos, Some(ctl.clone()));
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(b) => assert_eq!(
-                        b, &fp,
-                        "{ctl} run diverged at {threads} threads (chaos={chaos})"
-                    ),
-                }
+    let ctl = ControllerSpec::threshold(RuleConfig {
+        wait_high_secs: 0.0,
+        wait_low_secs: 0.0,
+        ..Default::default()
+    });
+    for chaos in [false, true] {
+        let mut baseline: Option<Fingerprint> = None;
+        for &threads in &THREAD_COUNTS {
+            blockfed::compute::set_threads(threads);
+            let fp = run_once(4, 11, chaos, Some(ctl.clone()));
+            assert!(!fp.policy_events.is_empty(), "the rule never fired");
+            match &baseline {
+                None => baseline = Some(fp),
+                Some(b) => assert_eq!(
+                    b, &fp,
+                    "{ctl} run diverged at {threads} threads (chaos={chaos})"
+                ),
             }
         }
     }
