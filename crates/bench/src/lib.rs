@@ -516,7 +516,7 @@ fn full_set_fallback(record: &blockfed_core::PeerRoundRecord, label: &str) -> Op
         .combos
         .iter()
         .find(|(l, _)| l.split(',').count() == 3)
-        .map(|(_, a)| *a)
+        .map(|(_, a)| a)
 }
 
 /// One row of the trade-off study.

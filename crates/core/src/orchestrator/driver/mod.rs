@@ -665,13 +665,8 @@ impl<'a> Run<'a> {
             members,
             weight,
         } = done;
-        let me = Some(ClientId(peer));
-        let combos: Vec<(String, f64)> = outcome
-            .candidates
-            .iter()
-            .map(|(c, a)| (c.label(me), *a))
-            .collect();
-        let chosen = outcome.combination.label(me);
+        let combos = outcome.candidates.with_owner(ClientId(peer));
+        let chosen = outcome.combination.label(Some(ClientId(peer)));
 
         let wait = now.saturating_since(trained_at);
         self.obs.aggregated(peer, now);

@@ -52,7 +52,9 @@ mod round;
 use blockfed_chain::{Blockchain, ChainStore, RetargetRule};
 use blockfed_crypto::{H160, H256};
 use blockfed_data::Dataset;
-use blockfed_fl::{Adversary, ClientId, ModelUpdate, StalenessDecay, Strategy, WaitPolicy};
+use blockfed_fl::{
+    Adversary, CandidateScores, ClientId, ModelUpdate, StalenessDecay, Strategy, WaitPolicy,
+};
 use blockfed_net::{GossipMode, LinkSpec, Topology};
 use blockfed_nn::Sequential;
 use blockfed_sim::{SimDuration, SimTime};
@@ -312,9 +314,12 @@ impl DecentralizedConfig {
 pub struct PeerRoundRecord {
     /// 1-based round.
     pub round: u32,
-    /// Accuracy of every evaluated combination on this peer's own test set,
-    /// labelled owner-first as in the paper's tables (`"B,A"` etc.).
-    pub combos: Vec<(String, f64)>,
+    /// Accuracy of every evaluated combination on this peer's own test set:
+    /// the aggregation's scores by combination index, with this peer as the
+    /// owner. Labels are built when read, owner-first as in the paper's
+    /// tables (`"B,A"` etc.), and `Debug` prints the `(label, accuracy)`
+    /// list.
+    pub combos: CandidateScores,
     /// The combination this peer adopted.
     pub chosen: String,
     /// Its accuracy.
@@ -341,10 +346,7 @@ pub struct PeerRoundRecord {
 impl PeerRoundRecord {
     /// Looks up a combination's accuracy by its label.
     pub fn accuracy_of(&self, label: &str) -> Option<f64> {
-        self.combos
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, a)| *a)
+        self.combos.accuracy_of(label)
     }
 }
 
@@ -811,7 +813,7 @@ mod tests {
                 assert_eq!(r.updates_used, 3);
                 assert_eq!(r.combos.len(), 7, "all subsets of 3 evaluated");
                 // Chosen must be one of the evaluated combos with max accuracy.
-                let max = r.combos.iter().map(|(_, a)| *a).fold(f64::MIN, f64::max);
+                let max = r.combos.iter().map(|(_, a)| a).fold(f64::MIN, f64::max);
                 assert!((r.chosen_accuracy - max).abs() < 1e-12);
                 assert!(r.accuracy_of(&r.chosen).is_some());
             }

@@ -616,6 +616,7 @@ mod tests {
     use crate::policy::ControllerSpec;
     use blockfed_chain::Transaction;
     use blockfed_data::{SynthCifar, SynthCifarConfig};
+    use blockfed_fl::CandidateScores;
     use blockfed_nn::SimpleNnConfig;
     use blockfed_sim::SimDuration;
     use blockfed_vm::ComboMask;
@@ -686,7 +687,7 @@ mod tests {
     fn record(round: u32, wait_secs: f64, accuracy: f64) -> PeerRoundRecord {
         PeerRoundRecord {
             round,
-            combos: Vec::new(),
+            combos: CandidateScores::default(),
             chosen: String::new(),
             chosen_accuracy: accuracy,
             wait: SimDuration::from_secs_f64(wait_secs),

@@ -34,7 +34,7 @@ pub use async_policy::WaitPolicy;
 pub use attack::{Adversary, Attack};
 pub use fedavg::{fed_avg, AggregateError};
 pub use round::{RoundRecord, VanillaFl, VanillaFlConfig, VanillaRun};
-pub use selector::{all_combinations, Combination};
+pub use selector::{all_combinations, CandidateScores, Combination};
 pub use staleness::{AgeOfBlock, StalenessDecay};
 pub use strategy::{
     aggregate, aggregate_with, AggregationOutcome, CandidateEvaluator, CandidateSource, Strategy,

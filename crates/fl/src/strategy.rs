@@ -8,7 +8,7 @@
 use rand::Rng;
 
 use crate::fedavg::{accumulate, fed_avg, validate, AggregateError, UpdateCheck};
-use crate::selector::{all_combinations, Combination};
+use crate::selector::{CandidateScores, Combination, SubsetWalk};
 use crate::update::{ClientId, ModelUpdate};
 
 /// Aggregation strategy selector.
@@ -46,7 +46,7 @@ pub struct AggregationOutcome {
     pub score: f64,
     /// Every candidate evaluated, with its score (for the paper's per-
     /// combination tables).
-    pub candidates: Vec<(Combination, f64)>,
+    pub candidates: CandidateScores,
 }
 
 /// Parameters the default [`CandidateEvaluator::score_source`] builds
@@ -68,21 +68,20 @@ pub struct CandidateSource<'a> {
 }
 
 impl<'a> CandidateSource<'a> {
-    /// Checks each update once, then every combination of `clients` (at
-    /// most 20, as [`all_combinations`] enforces) against [`fed_avg`]'s rules
-    /// in `combos` order, returning the error [`fed_avg`] would return for
-    /// the first combination that fails.
-    fn new(
-        updates: &'a [&'a ModelUpdate],
-        clients: &[ClientId],
-        combos: &[Combination],
-    ) -> Result<Self, AggregateError> {
-        let bit = |c: &ClientId| 1u32 << clients.binary_search(c).expect("client is listed");
+    /// Checks each update once, then every non-empty subset of `clients`
+    /// (sorted, distinct, at most 20) against [`fed_avg`]'s rules in
+    /// [`all_combinations`](crate::all_combinations) order, returning the
+    /// error [`fed_avg`] would return for the first combination that fails.
+    fn new(updates: &'a [&'a ModelUpdate], clients: &[ClientId]) -> Result<Self, AggregateError> {
+        let mut walk = SubsetWalk::non_empty(clients.len());
         let checks: Vec<UpdateCheck> = updates.iter().map(|u| UpdateCheck::of(u)).collect();
-        let bits: Vec<u32> = updates.iter().map(|u| bit(&u.client)).collect();
-        let mut masks = Vec::with_capacity(combos.len());
-        for combo in combos {
-            let mask = combo.members().iter().fold(0, |m, c| m | bit(c));
+        let bits: Vec<u32> = updates
+            .iter()
+            .map(|u| 1 << clients.binary_search(&u.client).expect("client is listed"))
+            .collect();
+        let mut masks = Vec::with_capacity((1usize << clients.len()) - 1);
+        while let Some(idx) = walk.advance() {
+            let mask = idx.iter().fold(0, |m, &i| m | 1u32 << i);
             let members = checks.iter().zip(&bits).filter(|(_, &b)| mask & b != 0);
             let (_, total) = validate(members.map(|(c, _)| *c))?;
             masks.push((mask, total));
@@ -212,9 +211,9 @@ pub fn aggregate_with<E: CandidateEvaluator + ?Sized, R: Rng + ?Sized>(
             let score = evaluator.score_batch(&[&params])[0];
             Ok(AggregationOutcome {
                 params,
-                combination: combination.clone(),
+                candidates: CandidateScores::single(combination.clone(), score),
+                combination,
                 score,
-                candidates: vec![(combination, score)],
             })
         }
         Strategy::Consider => {
@@ -227,17 +226,22 @@ pub fn aggregate_with<E: CandidateEvaluator + ?Sized, R: Rng + ?Sized>(
                 c.dedup();
                 c
             };
-            let combos: Vec<Combination> = all_combinations(&clients);
-            let source = CandidateSource::new(updates, &clients, &combos)?;
+            let source = CandidateSource::new(updates, &clients)?;
             let scores = evaluator.score_source(&source);
-            assert_eq!(scores.len(), combos.len(), "one score per candidate");
+            assert_eq!(scores.len(), source.len(), "one score per candidate");
             // Highest score wins; ties broken uniformly at random.
             let best_score = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let tied: Vec<usize> = (0..scores.len())
                 .filter(|&i| scores[i] == best_score)
                 .collect();
             let chosen = tied[rng.gen_range(0..tied.len())];
-            let combination = combos[chosen].clone();
+            let mask = source.combos[chosen].0;
+            let combination = Combination::new(
+                (0..clients.len())
+                    .filter(|&i| mask & 1 << i != 0)
+                    .map(|i| clients[i])
+                    .collect(),
+            );
             let members: Vec<&ModelUpdate> = updates
                 .iter()
                 .copied()
@@ -247,7 +251,7 @@ pub fn aggregate_with<E: CandidateEvaluator + ?Sized, R: Rng + ?Sized>(
                 params: fed_avg(&members)?,
                 combination,
                 score: scores[chosen],
-                candidates: combos.into_iter().zip(scores).collect(),
+                candidates: CandidateScores::exhaustive(clients, scores),
             })
         }
         Strategy::BestK(k) => {
@@ -280,9 +284,9 @@ pub fn aggregate_with<E: CandidateEvaluator + ?Sized, R: Rng + ?Sized>(
             let score = evaluator.score_batch(&[&params])[0];
             Ok(AggregationOutcome {
                 params,
-                combination: combination.clone(),
+                candidates: CandidateScores::single(combination.clone(), score),
+                combination,
                 score,
-                candidates: vec![(combination, score)],
             })
         }
     }

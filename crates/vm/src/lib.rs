@@ -37,6 +37,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No function over 120 counted lines (threshold in the root clippy.toml).
+#![warn(clippy::too_many_lines)]
 
 pub mod mask;
 pub mod registry;

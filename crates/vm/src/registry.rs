@@ -293,161 +293,206 @@ fn get_mask(state: &State, contract: &H160, base: &[u8]) -> Option<ComboMask> {
     ComboMask::from_words(&words, len)
 }
 
+/// What a successful registry call returns: its output and its logs. `None`
+/// reverts the call; every call checks before it writes, so a revert leaves
+/// storage untouched.
+type CallResult = Option<(Vec<u8>, Vec<LogEntry>)>;
+
 /// Executes a registry call: the native runtime's dispatch target.
 pub fn execute_registry(ctx: &CallContext, state: &mut State) -> ExecOutcome {
-    let revert = || ExecOutcome::reverted(REGISTRY_OP_GAS.min(ctx.gas_budget));
     if ctx.gas_budget < REGISTRY_OP_GAS {
         return ExecOutcome::reverted(ctx.gas_budget);
     }
-    let call = match RegistryCall::decode(&ctx.calldata) {
-        Some(c) => c,
-        None => return revert(),
-    };
     let me = ctx.contract;
-    let ok = |output: Vec<u8>, logs: Vec<LogEntry>| ExecOutcome {
-        success: true,
-        gas_used: REGISTRY_OP_GAS,
-        output,
-        logs,
-    };
-
-    match call {
-        RegistryCall::Register => {
-            let member_key = slot(&[b"member", ctx.caller.as_bytes()]);
-            if !state.storage_get(&me, &member_key).is_zero() {
-                return revert(); // double registration
-            }
-            let count_key = slot(&[b"participants.count"]);
-            let index = get_u64(state, &me, &count_key);
-            set_u64(state, me, count_key, index + 1);
-            // member index is stored +1 so zero means "absent".
-            set_u64(state, me, member_key, index + 1);
-            set_addr(
-                state,
-                me,
-                slot(&[b"participant", &index.to_le_bytes()]),
-                ctx.caller,
-            );
-            let log = LogEntry {
-                address: me,
-                topic: topic_registered(),
-                data: ctx.caller.as_bytes().to_vec(),
-            };
-            ok(index.to_le_bytes().to_vec(), vec![log])
-        }
+    let result = RegistryCall::decode(&ctx.calldata).and_then(|call| match call {
+        RegistryCall::Register => register(ctx, state),
         RegistryCall::SubmitModel {
             round,
             model_hash,
             payload_bytes,
             sample_count,
-        } => {
-            let member_key = slot(&[b"member", ctx.caller.as_bytes()]);
-            if state.storage_get(&me, &member_key).is_zero() {
-                return revert(); // not registered
-            }
-            let dup_key = slot(&[b"submitted", &round.to_le_bytes(), ctx.caller.as_bytes()]);
-            if !state.storage_get(&me, &dup_key).is_zero() {
-                return revert(); // one submission per round per peer
-            }
-            let count_key = slot(&[b"round.count", &round.to_le_bytes()]);
-            let index = get_u64(state, &me, &count_key);
-            set_u64(state, me, count_key, index + 1);
-            set_u64(state, me, dup_key, 1);
-            let base = [
-                b"sub".as_slice(),
-                &round.to_le_bytes(),
-                &index.to_le_bytes(),
-            ]
-            .concat();
-            set_addr(state, me, slot(&[&base, b".sender"]), ctx.caller);
-            state.storage_set(me, slot(&[&base, b".hash"]), model_hash);
-            set_u64(state, me, slot(&[&base, b".payload"]), payload_bytes);
-            set_u64(state, me, slot(&[&base, b".samples"]), sample_count);
-            let mut data = ctx.caller.as_bytes().to_vec();
-            data.extend_from_slice(&round.to_le_bytes());
-            data.extend_from_slice(model_hash.as_bytes());
-            let log = LogEntry {
-                address: me,
-                topic: topic_model_submitted(),
-                data,
-            };
-            ok(index.to_le_bytes().to_vec(), vec![log])
-        }
+        } => submit_model(ctx, state, round, model_hash, payload_bytes, sample_count),
         RegistryCall::RoundCount { round } => {
-            let count = get_u64(state, &me, &slot(&[b"round.count", &round.to_le_bytes()]));
-            ok(count.to_le_bytes().to_vec(), vec![])
+            let count = get_u64(state, &me, &round_count_key(round));
+            Some((count.to_le_bytes().to_vec(), vec![]))
         }
-        RegistryCall::GetSubmission { round, index } => {
-            let count = get_u64(state, &me, &slot(&[b"round.count", &round.to_le_bytes()]));
-            if index >= count {
-                return revert();
-            }
-            let base = [
-                b"sub".as_slice(),
-                &round.to_le_bytes(),
-                &index.to_le_bytes(),
-            ]
-            .concat();
-            let sender = get_addr(state, &me, &slot(&[&base, b".sender"]));
-            let hash = state.storage_get(&me, &slot(&[&base, b".hash"]));
-            let payload = get_u64(state, &me, &slot(&[&base, b".payload"]));
-            let samples = get_u64(state, &me, &slot(&[&base, b".samples"]));
-            let mut out = sender.as_bytes().to_vec();
-            out.extend_from_slice(hash.as_bytes());
-            out.extend_from_slice(&payload.to_le_bytes());
-            out.extend_from_slice(&samples.to_le_bytes());
-            ok(out, vec![])
-        }
+        RegistryCall::GetSubmission { round, index } => get_submission(state, me, round, index),
         RegistryCall::RecordAggregate {
             round,
             combo_mask,
             agg_hash,
-        } => {
-            let member_key = slot(&[b"member", ctx.caller.as_bytes()]);
-            if state.storage_get(&me, &member_key).is_zero() {
-                return revert();
-            }
-            let base = [
-                b"agg".as_slice(),
-                &round.to_le_bytes(),
-                ctx.caller.as_bytes(),
-            ]
-            .concat();
-            state.storage_set(me, slot(&[&base, b".hash"]), agg_hash);
-            set_mask(state, me, &base, &combo_mask);
-            let mut data = ctx.caller.as_bytes().to_vec();
-            data.extend_from_slice(&round.to_le_bytes());
-            combo_mask.encode_into(&mut data);
-            let log = LogEntry {
-                address: me,
-                topic: topic_aggregate_recorded(),
-                data,
-            };
-            ok(Vec::new(), vec![log])
-        }
+        } => record_aggregate(ctx, state, round, &combo_mask, agg_hash),
         RegistryCall::ParticipantCount => {
             let count = get_u64(state, &me, &slot(&[b"participants.count"]));
-            ok(count.to_le_bytes().to_vec(), vec![])
+            Some((count.to_le_bytes().to_vec(), vec![]))
         }
         RegistryCall::GetAggregate { round, aggregator } => {
-            let base = [
-                b"agg".as_slice(),
-                &round.to_le_bytes(),
-                aggregator.as_bytes(),
-            ]
-            .concat();
-            let hash = state.storage_get(&me, &slot(&[&base, b".hash"]));
-            if hash.is_zero() {
-                return revert();
-            }
-            let Some(mask) = get_mask(state, &me, &base) else {
-                return revert(); // corrupt mask storage
-            };
-            let mut out = hash.as_bytes().to_vec();
-            mask.encode_into(&mut out);
-            ok(out, vec![])
+            get_aggregate(state, me, round, aggregator)
         }
+    });
+    match result {
+        Some((output, logs)) => ExecOutcome {
+            success: true,
+            gas_used: REGISTRY_OP_GAS,
+            output,
+            logs,
+        },
+        None => ExecOutcome::reverted(REGISTRY_OP_GAS.min(ctx.gas_budget)),
     }
+}
+
+/// Storage key of `caller`'s member index (+1, so zero means "absent").
+fn member_key(caller: &H160) -> H256 {
+    slot(&[b"member", caller.as_bytes()])
+}
+
+/// Storage key of `round`'s submission count.
+fn round_count_key(round: u32) -> H256 {
+    slot(&[b"round.count", &round.to_le_bytes()])
+}
+
+/// Storage prefix of `round`'s `index`-th submission.
+fn submission_base(round: u32, index: u64) -> Vec<u8> {
+    [
+        b"sub".as_slice(),
+        &round.to_le_bytes(),
+        &index.to_le_bytes(),
+    ]
+    .concat()
+}
+
+/// Storage prefix of `aggregator`'s recorded aggregate for `round`.
+fn aggregate_base(round: u32, aggregator: &H160) -> Vec<u8> {
+    [
+        b"agg".as_slice(),
+        &round.to_le_bytes(),
+        aggregator.as_bytes(),
+    ]
+    .concat()
+}
+
+/// `Register`: appends the caller to the participant list; reverts on a
+/// second registration.
+fn register(ctx: &CallContext, state: &mut State) -> CallResult {
+    let me = ctx.contract;
+    let member_key = member_key(&ctx.caller);
+    if !state.storage_get(&me, &member_key).is_zero() {
+        return None; // double registration
+    }
+    let count_key = slot(&[b"participants.count"]);
+    let index = get_u64(state, &me, &count_key);
+    set_u64(state, me, count_key, index + 1);
+    // member index is stored +1 so zero means "absent".
+    set_u64(state, me, member_key, index + 1);
+    set_addr(
+        state,
+        me,
+        slot(&[b"participant", &index.to_le_bytes()]),
+        ctx.caller,
+    );
+    let log = LogEntry {
+        address: me,
+        topic: topic_registered(),
+        data: ctx.caller.as_bytes().to_vec(),
+    };
+    Some((index.to_le_bytes().to_vec(), vec![log]))
+}
+
+/// `SubmitModel`: stores a registered caller's one submission for `round`.
+fn submit_model(
+    ctx: &CallContext,
+    state: &mut State,
+    round: u32,
+    model_hash: H256,
+    payload_bytes: u64,
+    sample_count: u64,
+) -> CallResult {
+    let me = ctx.contract;
+    if state.storage_get(&me, &member_key(&ctx.caller)).is_zero() {
+        return None; // not registered
+    }
+    let dup_key = slot(&[b"submitted", &round.to_le_bytes(), ctx.caller.as_bytes()]);
+    if !state.storage_get(&me, &dup_key).is_zero() {
+        return None; // one submission per round per peer
+    }
+    let count_key = round_count_key(round);
+    let index = get_u64(state, &me, &count_key);
+    set_u64(state, me, count_key, index + 1);
+    set_u64(state, me, dup_key, 1);
+    let base = submission_base(round, index);
+    set_addr(state, me, slot(&[&base, b".sender"]), ctx.caller);
+    state.storage_set(me, slot(&[&base, b".hash"]), model_hash);
+    set_u64(state, me, slot(&[&base, b".payload"]), payload_bytes);
+    set_u64(state, me, slot(&[&base, b".samples"]), sample_count);
+    let mut data = ctx.caller.as_bytes().to_vec();
+    data.extend_from_slice(&round.to_le_bytes());
+    data.extend_from_slice(model_hash.as_bytes());
+    let log = LogEntry {
+        address: me,
+        topic: topic_model_submitted(),
+        data,
+    };
+    Some((index.to_le_bytes().to_vec(), vec![log]))
+}
+
+/// `GetSubmission`: sender, hash, payload bytes and sample count of
+/// `round`'s `index`-th submission.
+fn get_submission(state: &State, me: H160, round: u32, index: u64) -> CallResult {
+    let count = get_u64(state, &me, &round_count_key(round));
+    if index >= count {
+        return None;
+    }
+    let base = submission_base(round, index);
+    let sender = get_addr(state, &me, &slot(&[&base, b".sender"]));
+    let hash = state.storage_get(&me, &slot(&[&base, b".hash"]));
+    let payload = get_u64(state, &me, &slot(&[&base, b".payload"]));
+    let samples = get_u64(state, &me, &slot(&[&base, b".samples"]));
+    let mut out = sender.as_bytes().to_vec();
+    out.extend_from_slice(hash.as_bytes());
+    out.extend_from_slice(&payload.to_le_bytes());
+    out.extend_from_slice(&samples.to_le_bytes());
+    Some((out, vec![]))
+}
+
+/// `RecordAggregate`: stores a registered caller's aggregate fingerprint and
+/// member mask for `round`.
+fn record_aggregate(
+    ctx: &CallContext,
+    state: &mut State,
+    round: u32,
+    combo_mask: &ComboMask,
+    agg_hash: H256,
+) -> CallResult {
+    let me = ctx.contract;
+    if state.storage_get(&me, &member_key(&ctx.caller)).is_zero() {
+        return None;
+    }
+    let base = aggregate_base(round, &ctx.caller);
+    state.storage_set(me, slot(&[&base, b".hash"]), agg_hash);
+    set_mask(state, me, &base, combo_mask);
+    let mut data = ctx.caller.as_bytes().to_vec();
+    data.extend_from_slice(&round.to_le_bytes());
+    combo_mask.encode_into(&mut data);
+    let log = LogEntry {
+        address: me,
+        topic: topic_aggregate_recorded(),
+        data,
+    };
+    Some((Vec::new(), vec![log]))
+}
+
+/// `GetAggregate`: the fingerprint and mask `aggregator` recorded for
+/// `round`; reverts if none was recorded or the mask storage is corrupt.
+fn get_aggregate(state: &State, me: H160, round: u32, aggregator: H160) -> CallResult {
+    let base = aggregate_base(round, &aggregator);
+    let hash = state.storage_get(&me, &slot(&[&base, b".hash"]));
+    if hash.is_zero() {
+        return None;
+    }
+    let mask = get_mask(state, &me, &base)?; // None: corrupt mask storage
+    let mut out = hash.as_bytes().to_vec();
+    mask.encode_into(&mut out);
+    Some((out, vec![]))
 }
 
 /// Parses the output of a successful `GetSubmission` call.

@@ -12,7 +12,8 @@ mod common;
 use blockfed::data::{Dataset, SynthCifar, SynthCifarConfig};
 use blockfed::fl::{
     aggregate_with, all_combinations, fed_avg, AggregateError, AggregationOutcome,
-    CandidateEvaluator, CandidateSource, ClientId, Combination, ModelUpdate, Strategy,
+    CandidateEvaluator, CandidateScores, CandidateSource, ClientId, Combination, ModelUpdate,
+    Strategy,
 };
 use blockfed::nn::{InferScratch, Sequential, SimpleNnConfig};
 use blockfed::tensor::ops::{clip, log_softmax_rows, relu, softmax_rows};
@@ -269,11 +270,18 @@ fn materialized_consider(
     let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let tied: Vec<usize> = (0..scores.len()).filter(|&i| scores[i] == best).collect();
     let chosen = tied[rng.gen_range(0..tied.len())];
+    let score = scores[chosen];
+    let candidates = CandidateScores::exhaustive(clients, scores);
+    // The record's index order is the materialized list's order.
+    assert!(candidates
+        .combinations()
+        .map(|(c, _)| c)
+        .eq(combos.iter().cloned()));
     Ok(AggregationOutcome {
         params: params_list[chosen].clone(),
         combination: combos[chosen].clone(),
-        score: scores[chosen],
-        candidates: combos.into_iter().zip(scores).collect(),
+        score,
+        candidates,
     })
 }
 
@@ -283,8 +291,8 @@ type OutcomeBits = (Vec<(Combination, u64)>, Combination, u64, Vec<u32>);
 fn outcome_bits(out: &AggregationOutcome) -> OutcomeBits {
     (
         out.candidates
-            .iter()
-            .map(|(c, s)| (c.clone(), s.to_bits()))
+            .combinations()
+            .map(|(c, s)| (c, s.to_bits()))
             .collect(),
         out.combination.clone(),
         out.score.to_bits(),
